@@ -71,6 +71,7 @@ from .schemas import (
     INDETERMINATE,
     Situation,
     Verdict,
+    change_verdict,
     hypothetical_space,
     novelty,
     semantic_transformativeness,

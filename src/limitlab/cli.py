@@ -17,6 +17,7 @@ from typing import Sequence
 from .core import (
     UNIVERSES,
     Canonical,
+    Fate,
     Padded,
     RepetitionHeavy,
     ShuffledWindow,
@@ -113,7 +114,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
     if "seed" in overrides and overrides["seed"] is not None:
         config["seeds"] = [overrides["seed"]]
     horizon = config["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
+    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
     _validate_seed(config["seed"])
     for s in config["seeds"]:
@@ -176,37 +177,49 @@ def cmd_trace(config: dict) -> int:
                 "semantically_transformative": step.semantically_transformative,
             }
         )
-    fmt = config["format"]
-    if fmt == "jsonl":
-        for record in records:
-            print(_json_line(record))
-    elif fmt == "csv":
-        print(",".join(records[0].keys()))
-        for record in records:
-            print(
-                ",".join(
-                    "" if v is None else str(v).replace(",", ";") for v in record.values()
-                )
-            )
-    else:
-        header = f"{'step':>4}  {'datum':>6}  {'hyp':>12}  {'set':<12}  chg  nov  tra  sem"
-        print(f"trace: {scientist.name} on {fate.descriptor['language']} "
-              f"[{fate.descriptor['strategy']}] seed={fate.descriptor['seed']}")
-        print(header)
-        for r in records:
-            flags = [
-                "y" if r["hyp_changed"] else ".",
-                "-" if r["novel"] is None else str(r["novel"]),
-                "-" if r["transformative"] is None else str(r["transformative"]),
-                "-" if r["semantically_transformative"] is None
-                else str(r["semantically_transformative"])[:3],
-            ]
-            hyp_set = r["hyp_set"] if r["hyp_set"] is not None else "-"
-            print(
-                f"{r['step']:>4}  {r['datum']:>6}  {r['hyp_index']:>12}  "
-                f"{hyp_set:<12}  {flags[0]:>3}  {flags[1]:>3}  {flags[2]:>3}  {flags[3]}"
-            )
+    try:
+        lines = _trace_lines(records, config["format"], scientist, fate)
+    except ValueError as err:
+        # Python refuses int-to-decimal conversions beyond a digit limit; the
+        # lines are all formatted before any is written, so stdout stays empty.
+        raise ConfigError(
+            "a hypothesis index has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits and cannot be printed; "
+            "use a shorter horizon or a language with smaller ranks"
+        ) from err
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
+
+
+def _trace_lines(
+    records: list, fmt: str, scientist: Scientist, fate: Fate
+) -> list[str]:
+    if fmt == "jsonl":
+        return [_json_line(record) for record in records]
+    if fmt == "csv":
+        return [",".join(records[0].keys())] + [
+            ",".join("" if v is None else str(v).replace(",", ";") for v in record.values())
+            for record in records
+        ]
+    lines = [
+        f"trace: {scientist.name} on {fate.descriptor['language']} "
+        f"[{fate.descriptor['strategy']}] seed={fate.descriptor['seed']}",
+        f"{'step':>4}  {'datum':>6}  {'hyp':>12}  {'set':<12}  chg  nov  tra  sem",
+    ]
+    for r in records:
+        flags = [
+            "y" if r["hyp_changed"] else ".",
+            "-" if r["novel"] is None else str(r["novel"]),
+            "-" if r["transformative"] is None else str(r["transformative"]),
+            "-" if r["semantically_transformative"] is None
+            else str(r["semantically_transformative"])[:3],
+        ]
+        hyp_set = r["hyp_set"] if r["hyp_set"] is not None else "-"
+        lines.append(
+            f"{r['step']:>4}  {r['datum']:>6}  {r['hyp_index']:>12}  "
+            f"{hyp_set:<12}  {flags[0]:>3}  {flags[1]:>3}  {flags[2]:>3}  {flags[3]}"
+        )
+    return lines
 
 
 def cmd_identify(config: dict) -> int:
@@ -253,7 +266,7 @@ def cmd_identify(config: dict) -> int:
 
 def cmd_theorems(config: dict) -> int:
     trials = config["trials"]
-    if not isinstance(trials, int) or trials < 1:
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
     items = run_theorem_suite(trials=trials, seed=config["seed"])
     fmt = config["format"]

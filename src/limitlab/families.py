@@ -62,14 +62,12 @@ def encode_finite_set(artefacts: Iterable[Artefact]) -> int:
 def decode_finite_set(code: int, universe: Universe) -> frozenset:
     if code < 0:
         raise ValueError(f"set code must be >= 0, got {code}")
-    members = []
-    rank = 0
-    while code:
-        if code & 1:
-            members.append(universe.artefact(rank))
-        code >>= 1
-        rank += 1
-    return frozenset(members)
+    # One linear scan of the binary digits, least significant first; shifting
+    # the big int instead would copy it once per bit.
+    bits = bin(code)[:1:-1]
+    return frozenset(
+        universe.artefact(rank) for rank, bit in enumerate(bits) if bit == "1"
+    )
 
 
 def pair(x: int, y: int) -> int:
@@ -221,9 +219,15 @@ class LanguageFamily:
     def semantic_equals(self, p: int, q: int) -> Equality:
         if p == q:
             return Equality.EQUAL
-        return compare_languages(self.language_of(p), self.language_of(q), self.oracle)
+        low, high = sorted((p, q))
+        if low >= self.offset:
+            # The tail is a bijection onto finite sets: distinct codes differ.
+            return Equality.NOT_EQUAL
+        return self.compare_index_with(high, self.language_of(low))
 
     def compare_index_with(self, p: int, target: LanguageRepr) -> Equality:
+        if p >= self.offset and target.size is None:
+            return Equality.NOT_EQUAL  # a finite tail set against an infinite target
         return compare_languages(self.language_of(p), target, self.oracle)
 
     def min_index_for(self, target: LanguageRepr) -> int:
@@ -283,18 +287,21 @@ class AnnotationFamily:
     def oracle(self) -> Oracle | None:
         return self.base.oracle
 
-    def language_of(self, p: int) -> LanguageRepr:
+    def _base_index(self, p: int) -> int:
         if p < 0:
             raise ValueError(f"hypothesis index must be >= 0, got {p}")
-        return self.base.language_of(unpair(p)[0])
+        return unpair(p)[0]
+
+    def language_of(self, p: int) -> LanguageRepr:
+        return self.base.language_of(self._base_index(p))
 
     def semantic_equals(self, p: int, q: int) -> Equality:
         if p == q:
             return Equality.EQUAL
-        return compare_languages(self.language_of(p), self.language_of(q), self.oracle)
+        return self.base.semantic_equals(self._base_index(p), self._base_index(q))
 
     def compare_index_with(self, p: int, target: LanguageRepr) -> Equality:
-        return compare_languages(self.language_of(p), target, self.oracle)
+        return self.base.compare_index_with(self._base_index(p), target)
 
     def describe_index(self, p: int) -> str:
         base_index, note = unpair(p)

@@ -17,14 +17,7 @@ from typing import Iterable, Sequence
 from .core import Datum, Experience, Fate, TextStrategy, is_pause, make_fate
 from .families import Equality, LanguageRepr
 from .scientists import Scientist
-from .schemas import (
-    INDETERMINATE,
-    Situation,
-    Verdict,
-    novelty,
-    semantic_transformativeness,
-    transformativeness,
-)
+from .schemas import Verdict, change_verdict
 
 __all__ = [
     "ConvergenceReport",
@@ -276,30 +269,39 @@ class TransformationTrace:
 def transformation_trace(
     scientist: Scientist, fate: Fate, horizon: int
 ) -> TransformationTrace:
-    """Sweep novelty and transformativeness along the fate, step by step."""
+    """Sweep novelty and transformativeness along the fate, step by step.
+
+    Each prefix is conjectured once. The step's datum is the artefact appended
+    to ``data[:n]``, so its flags follow from the adjacent conjectures
+    ``indices[n]`` and ``indices[n + 1]`` and from the artefacts seen so far,
+    exactly as the schemas would compute them on ``Situation(scientist,
+    data[:n])``.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     data = fate.prefix(horizon + 1).items
     indices = tuple(
         scientist.conjecture(Experience(data[:n])) for n in range(horizon + 2)
     )
+    family = scientist.family
+    seen: set = set()
     steps = []
     for n in range(horizon + 1):
         datum = data[n]
-        changed = indices[n + 1] != indices[n]
+        before, after = indices[n], indices[n + 1]
         if is_pause(datum):
             novel = transformative = semantic = None
         else:
-            situation = Situation(scientist, Experience(data[:n]))
-            novel = novelty(datum, situation)
-            transformative = transformativeness(datum, situation)
-            semantic = semantic_transformativeness(datum, situation)
+            novel = int(datum not in seen)
+            seen.add(datum)
+            transformative = int(before != after)
+            semantic = change_verdict(family.semantic_equals(before, after))
         steps.append(
             TraceStep(
                 step=n,
                 datum=datum,
-                hyp_index=indices[n],
-                hyp_changed=changed,
+                hyp_index=before,
+                hyp_changed=before != after,
                 novel=novel,
                 transformative=transformative,
                 semantically_transformative=semantic,

@@ -41,7 +41,8 @@ def sample_same_content(
     pauses, so the pair (sigma, result) probes order and repetition
     sensitivity without touching content.
     """
-    artefacts = list(sigma.content())
+    # Rank order, not set order: set iteration follows the string hash seed.
+    artefacts = sorted(sigma.content(), key=lambda a: a.rank)
     if not artefacts:
         return Experience(tuple(PAUSE for _ in range(rng.randint(0, max_extra))))
     seq = artefacts + [rng.choice(artefacts) for _ in range(rng.randint(0, max_extra))]

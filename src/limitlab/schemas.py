@@ -19,6 +19,7 @@ __all__ = [
     "INDETERMINATE",
     "Situation",
     "Verdict",
+    "change_verdict",
     "hypothetical_space",
     "novelty",
     "semantic_transformativeness",
@@ -77,9 +78,13 @@ def semantic_transformativeness(a: Artefact, s: Situation) -> Verdict:
     _require_artefact(a)
     before = s.scientist.conjecture(s.experience)
     after = s.scientist.conjecture(s.experience.append(a))
-    verdict = s.scientist.family.semantic_equals(before, after)
-    if verdict is Equality.EQUAL:
+    return change_verdict(s.scientist.family.semantic_equals(before, after))
+
+
+def change_verdict(equality: Equality) -> Verdict:
+    """The semantic-change flag of a before/after comparison: 0, 1 or INDETERMINATE."""
+    if equality is Equality.EQUAL:
         return 0
-    if verdict is Equality.NOT_EQUAL:
+    if equality is Equality.NOT_EQUAL:
         return 1
     return INDETERMINATE

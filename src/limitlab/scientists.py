@@ -121,16 +121,20 @@ def confidence_annotating(
 
     def conjecture(sigma: Experience) -> int:
         b = base.conjecture(_EMPTY)
+        contains = fam.language_of(b).contains
         c = initial_confidence
         for i, d in enumerate(sigma):
             if is_pause(d):
                 continue
-            if fam.language_of(b).contains(d):
+            if contains(d):
                 c += 1
             else:
                 c -= 1
                 if c == 0:
-                    b = base.conjecture(sigma[: i + 1])
+                    reasked = base.conjecture(sigma[: i + 1])
+                    if reasked != b:
+                        b = reasked
+                        contains = fam.language_of(b).contains
                     c = initial_confidence
         return pair(b, pair(c, len(sigma)))
 

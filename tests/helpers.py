@@ -1,18 +1,31 @@
-"""Shared test fixtures: experience builders and hand-built evens texts."""
+"""Shared test fixtures: experience builders, hand-built evens texts, and
+replay-from-empty reference semantics for differential tests of fast paths."""
 
 from __future__ import annotations
 
 from limitlab import (
     PAUSE,
+    Equality,
     Experience,
     Fate,
     LanguageFamily,
+    LanguageRepr,
+    Scientist,
+    Situation,
+    TraceStep,
+    TransformationTrace,
     Universe,
+    compare_languages,
     decimal_universe,
     evens_language,
     fate_from_function,
+    is_pause,
+    novelty,
     odds_language,
+    pair,
     registry_oracle,
+    semantic_transformativeness,
+    transformativeness,
 )
 
 U = decimal_universe()
@@ -73,3 +86,61 @@ def pair_swapped_evens_text(universe: Universe = U) -> Fate:
         return universe.artefact(4 * j + 2 if (n - 2) % 2 == 0 else 4 * j)
 
     return fate_from_function(at, platonic=evens_language(universe))
+
+
+# ---------------------------------------------------------------------------
+# replay-from-empty references
+
+
+def reference_transformation_trace(
+    scientist: Scientist, fate: Fate, horizon: int
+) -> TransformationTrace:
+    """Every flag from the schemas themselves, on a fresh situation per step."""
+    data = fate.prefix(horizon + 1).items
+    steps = []
+    for n in range(horizon + 1):
+        datum = data[n]
+        sigma = Experience(data[:n])
+        before = scientist.conjecture(sigma)
+        after = scientist.conjecture(Experience(data[: n + 1]))
+        if is_pause(datum):
+            flags = (None, None, None)
+        else:
+            situation = Situation(scientist, sigma)
+            flags = (
+                novelty(datum, situation),
+                transformativeness(datum, situation),
+                semantic_transformativeness(datum, situation),
+            )
+        steps.append(TraceStep(n, datum, before, before != after, *flags))
+    return TransformationTrace(steps=tuple(steps))
+
+
+def reference_semantic_equals(family, p: int, q: int) -> Equality:
+    """Decode both indices and compare the languages."""
+    if p == q:
+        return Equality.EQUAL
+    return compare_languages(family.language_of(p), family.language_of(q), family.oracle)
+
+
+def reference_compare_index_with(family, p: int, target: LanguageRepr) -> Equality:
+    return compare_languages(family.language_of(p), target, family.oracle)
+
+
+def reference_confidence_conjecture(
+    fam: LanguageFamily, base: Scientist, initial: int, sigma: Experience
+) -> int:
+    """The confidence annotator as first written: one base decode per datum."""
+    b = base.conjecture(Experience())
+    c = initial
+    for i, d in enumerate(sigma):
+        if is_pause(d):
+            continue
+        if fam.language_of(b).contains(d):
+            c += 1
+        else:
+            c -= 1
+            if c == 0:
+                b = base.conjecture(sigma[: i + 1])
+                c = initial
+    return pair(b, pair(c, len(sigma)))

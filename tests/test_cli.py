@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import limitlab
 from helpers import U, art, exp, standard_family
 from limitlab import (
     Experience,
@@ -243,6 +248,25 @@ def test_theorems_single_trial_still_passes(capsys):
     assert [r["passed"] for r in records] == [True, True, True, True]
 
 
+def test_theorems_output_does_not_depend_on_the_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(Path(limitlab.__file__).parents[1]))
+    outputs = set()
+    for hash_seed in ("0", "8", "21"):
+        done = subprocess.run(
+            [sys.executable, "-m", "limitlab.cli", "theorems", "--trials", "1",
+             "--format", "jsonl"],
+            env=dict(env, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [r["passed"] for r in records] == [True, True, True, True]
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+
 def test_theorems_broken_component_exits_one(monkeypatch, capsys):
     from limitlab import theorems
     from limitlab.scientists import SampledCheck
@@ -317,6 +341,29 @@ def test_config_must_be_an_object(tmp_path, capsys):
     path.write_text("[1, 2]", encoding="utf-8")
     code, _, err = run(capsys, "trace", "--config", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, key", [("trace", "horizon"), ("identify", "horizon"), ("theorems", "trials")]
+)
+def test_boolean_config_numbers_rejected(tmp_path, capsys, command, key):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({key: True}), encoding="utf-8")
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and f"{key} must be an integer" in err
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "pretty"])
+def test_trace_index_too_large_to_print_exits_two(capsys, fmt):
+    code, out, err = run(
+        capsys, "trace", "--language", "{15000}", "--horizon", "1", "--format", fmt
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "decimal digits" in err
+    assert "Traceback" not in err
 
 
 def test_oversized_seed_rejected(capsys):

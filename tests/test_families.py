@@ -6,13 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import U, art, standard_family
+from helpers import (
+    U,
+    art,
+    reference_compare_index_with,
+    reference_semantic_equals,
+    standard_family,
+)
 from limitlab import (
     Equality,
     IndeterminateError,
     LanguageFamily,
     LanguageRepr,
     NotInFamilyError,
+    all_language,
     compare_languages,
     decode_finite_set,
     encode_finite_set,
@@ -59,6 +66,17 @@ def test_code_round_trips_from_sets(ranks):
 @given(st.integers(0, 2**16 - 1))
 def test_code_round_trips_from_naturals(n):
     assert encode_finite_set(decode_finite_set(n, U)) == n
+
+
+@given(st.sets(st.integers(0, 50_000), max_size=40))
+def test_code_round_trips_from_sets_with_large_ranks(ranks):
+    members = frozenset(art(r) for r in ranks)
+    assert decode_finite_set(encode_finite_set(members), U) == members
+
+
+def test_decode_dense_and_sparse_large_codes():
+    assert decode_finite_set(1 << 50_000, U) == {art(50_000)}
+    assert decode_finite_set((1 << 3000) - 1, U) == {art(r) for r in range(3000)}
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +279,61 @@ def test_describe_labels_and_literals():
     assert EVENS.describe() == "evens"
     assert finite(4, 2).describe() == "{2,4}"
     assert finite().describe() == "{}"
+
+
+# ---------------------------------------------------------------------------
+# fast comparisons against decode-and-compare
+
+FINITE_SPECIAL = LanguageFamily(U, (EVENS, finite(2, 4), ODDS), registry_oracle())
+COMPARE_FAMILIES = {
+    "oracle": FAM,
+    "plain": PLAIN,
+    "finite-special": FINITE_SPECIAL,
+    "annotated": AnnotationFamily(FAM),
+    "annotated-finite-special": AnnotationFamily(FINITE_SPECIAL),
+}
+# Each family gets indices from its roster, the start of the tail, and a few
+# large tail codes; annotated families pair them with a note.
+base_indices = st.one_of(
+    st.integers(0, 40), st.integers(0, 2**70).map(lambda n: n | (1 << 71))
+)
+COMPARE_TARGETS = (
+    EVENS,
+    ODDS,
+    evens_language(U),  # equal to EVENS by label, not by identity
+    all_language(U),
+    finite(),
+    finite(2, 4),
+    finite(0, 3, 71),
+)
+
+
+def family_index(name: str, base: int, note: int) -> int:
+    return pair(base, note) if name.startswith("annotated") else base
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_FAMILIES))
+@given(base_indices, base_indices, st.integers(0, 5), st.integers(0, 5))
+def test_semantic_equals_matches_decoding(name, b, c, note_b, note_c):
+    family = COMPARE_FAMILIES[name]
+    p, q = family_index(name, b, note_b), family_index(name, c, note_c)
+    assert family.semantic_equals(p, q) is reference_semantic_equals(family, p, q)
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_FAMILIES))
+@pytest.mark.parametrize("target", COMPARE_TARGETS, ids=LanguageRepr.describe)
+@given(base_indices, st.integers(0, 5))
+def test_compare_index_with_matches_decoding(name, target, b, note):
+    family = COMPARE_FAMILIES[name]
+    p = family_index(name, b, note)
+    expected = reference_compare_index_with(family, p, target)
+    assert family.compare_index_with(p, target) is expected
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_FAMILIES))
+def test_fast_comparisons_reject_negative_indices(name):
+    family = COMPARE_FAMILIES[name]
+    with pytest.raises(ValueError):
+        family.semantic_equals(-1, 3)
+    with pytest.raises(ValueError):
+        family.compare_index_with(-1, EVENS)

@@ -13,13 +13,20 @@ from helpers import (
     padded_repeats_evens_text,
     pair_swapped_evens_text,
     plain_evens_text,
+    reference_transformation_trace,
     standard_family,
 )
 from limitlab import (
+    INDETERMINATE,
+    SCIENTISTS,
     Canonical,
     Outcome,
     Padded,
+    RepetitionHeavy,
+    Scientist,
     ShuffledWindow,
+    all_language,
+    build_scientist,
     bc_converges_at,
     confidence_annotating,
     converges_at,
@@ -289,3 +296,39 @@ def test_declared_platonic_fates_emit_only_members():
         fate = make_fate(lang, Padded(0.25), seed=8)
         for d in fate.prefix(50):
             assert is_pause(d) or fate.platonic.contains(d)
+
+
+# ---------------------------------------------------------------------------
+# transformation_trace against replay-from-empty schemas
+
+DIFF_LANGUAGES = {
+    "evens": EVENS,
+    "odds": ODDS,
+    "all": all_language(U),
+    "finite": finite(1, 2, 5, 8),
+}
+DIFF_STRATEGIES = (Canonical(), Padded(0.3), ShuffledWindow(3), RepetitionHeavy(0.4))
+
+
+@pytest.mark.parametrize("name", sorted(SCIENTISTS))
+@pytest.mark.parametrize("language", sorted(DIFF_LANGUAGES))
+@pytest.mark.parametrize("strategy", DIFF_STRATEGIES, ids=str)
+def test_trace_matches_replay_reference(name, language, strategy):
+    scientist = build_scientist(name, FAM)
+    fate = make_fate(DIFF_LANGUAGES[language], strategy, seed=5)
+    horizon = 20
+    expected = reference_transformation_trace(scientist, fate, horizon)
+    assert transformation_trace(scientist, fate, horizon) == expected
+
+
+@pytest.mark.parametrize("strategy", DIFF_STRATEGIES, ids=str)
+def test_trace_matches_replay_reference_when_equality_is_undecided(strategy):
+    # Without an oracle, evens (index 0) against odds (index 1) is UNKNOWN,
+    # and this scientist switches between the two at every other step.
+    plain = standard_family(oracle=False)
+    flipper = Scientist("flipper", plain, lambda sigma: len(sigma) // 2 % 2)
+    fate = make_fate(EVENS, strategy, seed=9)
+    trace = transformation_trace(flipper, fate, 16)
+    assert trace == reference_transformation_trace(flipper, fate, 16)
+    flags = [s.semantically_transformative for s in trace.steps]
+    assert INDETERMINATE in flags and 0 in flags

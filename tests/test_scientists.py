@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import U, art, exp, plain_evens_text, standard_family
+from helpers import (
+    U,
+    art,
+    exp,
+    plain_evens_text,
+    reference_confidence_conjecture,
+    standard_family,
+)
 from limitlab import (
     Experience,
     build_scientist,
@@ -129,25 +136,6 @@ def test_ever_changing_depends_only_on_length():
 # confidence annotating
 
 
-def replay_confidence(base, sigma: Experience, initial: int):
-    """Independent incremental simulator for the confidence dynamics."""
-    from limitlab import is_pause
-
-    b = base(Experience())
-    c = initial
-    for i, d in enumerate(sigma):
-        if is_pause(d):
-            continue
-        if FAM.language_of(b).contains(d):
-            c += 1
-        else:
-            c -= 1
-            if c == 0:
-                b = base(sigma[: i + 1])
-                c = initial
-    return b, c
-
-
 def test_annotated_indices_all_distinct_along_evens_text():
     base = memorizer(FAM)
     sci = confidence_annotating(FAM, base, 3)
@@ -163,7 +151,8 @@ def test_annotated_base_component_matches_independent_replay():
     switches = 0
     for n in range(11):
         sigma = fate.prefix(n)
-        b, c = replay_confidence(base, sigma, 3)
+        b, note = unpair(reference_confidence_conjecture(FAM, base, 3, sigma))
+        c, _ = unpair(note)
         emitted_b, note = unpair(sci(sigma))
         emitted_c, steps = unpair(note)
         assert emitted_b == b
@@ -189,6 +178,23 @@ def test_annotated_language_changes_only_when_base_switches():
 def test_annotating_is_deterministic():
     sci = confidence_annotating(FAM, memorizer(FAM), 3)
     assert sci(exp("2 3 # 5")) == sci(exp("2 3 # 5"))
+
+
+@pytest.mark.parametrize(
+    "base_spec", ["memorizer", "last_novel", "enumeration", "dumb_visionary:evens",
+                  "set_driven:last_novel", "ever_changing"]
+)
+@pytest.mark.parametrize("initial", [1, 2, 3, 5])
+def test_annotating_matches_per_datum_decoding_reference(base_spec, initial):
+    base = build_scientist(base_spec, FAM)
+    sci = confidence_annotating(FAM, base, initial)
+    rng = derived_rng("annotator-reference", initial, base_spec)
+    samples = [sample_experience(rng, U, max_rank=9, max_len=14) for _ in range(150)]
+    samples += [plain_evens_text().prefix(n) for n in range(0, 30, 3)]
+    for sigma in samples:
+        assert sci.conjecture(sigma) == reference_confidence_conjecture(
+            FAM, base, initial, sigma
+        )
 
 
 def test_annotating_rejects_zero_confidence():
