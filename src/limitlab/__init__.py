@@ -18,6 +18,7 @@ from .core import (
     Padded,
     Pause,
     RepetitionHeavy,
+    STRATEGIES,
     ShuffledWindow,
     TextStrategy,
     UNIVERSES,

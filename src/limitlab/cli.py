@@ -12,27 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
-from .core import (
-    UNIVERSES,
-    Canonical,
-    Fate,
-    Padded,
-    RepetitionHeavy,
-    ShuffledWindow,
-    TextStrategy,
-    is_pause,
-    make_fate,
-)
+from .core import STRATEGIES, UNIVERSES, Fate, TextStrategy, is_pause, make_fate
 from .families import LANGUAGES, LanguageFamily, family_from_config, resolve_language
 from .identification import identify_class, transformation_trace
 from .scientists import SCIENTISTS, Scientist, build_scientist
 from .theorems import run_theorem_suite
 
 PROG = "limitlab"
-
-STRATEGY_NAMES = ("canonical", "padded", "shuffled-window", "repetition-heavy")
 
 DEFAULTS: dict = {
     "universe": "decimal",
@@ -62,28 +51,14 @@ def parse_strategy(spec) -> TextStrategy:
         if isinstance(spec, str):
             name, _, arg = spec.partition(":")
             name = name.strip()
-            if name == "canonical":
-                if arg:
-                    raise ValueError("canonical takes no parameter")
-                return Canonical()
-            if name == "padded":
-                return Padded(float(arg)) if arg else Padded()
-            if name == "shuffled-window":
-                return ShuffledWindow(int(arg)) if arg else ShuffledWindow()
-            if name == "repetition-heavy":
-                return RepetitionHeavy(float(arg)) if arg else RepetitionHeavy()
+        else:
+            params = dict(spec)
+            name = params.pop("name", None)
+        if name not in STRATEGIES:
             raise ValueError(f"unknown strategy: {name!r}")
-        params = dict(spec)
-        name = params.pop("name", None)
-        if name == "canonical":
-            return Canonical()
-        if name == "padded":
-            return Padded(**params)
-        if name == "shuffled-window":
-            return ShuffledWindow(**params)
-        if name == "repetition-heavy":
-            return RepetitionHeavy(**params)
-        raise ValueError(f"unknown strategy: {name!r}")
+        if isinstance(spec, str):
+            return STRATEGIES[name].parse(arg)
+        return STRATEGIES[name](**params)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad strategy spec {spec!r}: {err}") from err
 
@@ -103,7 +78,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 loaded = json.load(fh)
         except OSError as err:
             raise ConfigError(f"cannot read config {path!r}: {err}") from err
-        except json.JSONDecodeError as err:
+        # Bad JSON, bad UTF-8, an overlong integer literal or too deep nesting.
+        except (ValueError, RecursionError) as err:
             raise ConfigError(f"config {path!r} is not valid JSON: {err}") from err
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path!r} must hold a JSON object")
@@ -116,6 +92,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
     horizon = config["horizon"]
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
+    for key in ("languages", "strategies", "seeds"):
+        if not isinstance(config[key], list):
+            raise ConfigError(f"{key} must be a list, got {config[key]!r}")
     _validate_seed(config["seed"])
     for s in config["seeds"]:
         _validate_seed(s)
@@ -232,18 +211,7 @@ def cmd_identify(config: dict) -> int:
     fmt = config["format"]
     if fmt == "jsonl":
         for row in table.rows:
-            print(
-                _json_line(
-                    {
-                        "language": row.language,
-                        "strategy": row.strategy,
-                        "seed": row.seed,
-                        "horizon": row.horizon,
-                        "verdict": row.verdict,
-                        "last_change_step": row.last_change_step,
-                    }
-                )
-            )
+            print(_json_line(asdict(row)))
         print(_json_line({"summary": table.summary(), "scientist": scientist.name}))
     elif fmt == "csv":
         sys.stdout.write(table.to_csv())
@@ -304,7 +272,7 @@ def cmd_list(config: dict) -> int:
     for name in sorted(SCIENTISTS):
         print(f"  {name}")
     print("strategies:")
-    for name in STRATEGY_NAMES:
+    for name in STRATEGIES:
         print(f"  {name}")
     return 0
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .families import LanguageRepr
@@ -28,6 +28,7 @@ __all__ = [
     "Padded",
     "Pause",
     "RepetitionHeavy",
+    "STRATEGIES",
     "ShuffledWindow",
     "TextStrategy",
     "UNIVERSES",
@@ -237,62 +238,6 @@ def derived_rng(*parts) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-@dataclass(frozen=True)
-class Canonical:
-    """Elements in canonical order; nonempty finite languages cycle forever."""
-
-    def __str__(self) -> str:
-        return "canonical"
-
-
-@dataclass(frozen=True)
-class Padded:
-    """Canonical order with pauses mixed in at a fixed density per block."""
-
-    pause_density: float = 0.25
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.pause_density < 1.0:
-            raise ValueError(
-                f"pause density must lie in [0, 1), got {self.pause_density}"
-            )
-
-    def __str__(self) -> str:
-        return f"padded({self.pause_density})"
-
-
-@dataclass(frozen=True)
-class ShuffledWindow:
-    """Canonical order permuted within consecutive windows of fixed size."""
-
-    window: int = 4
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window size must be >= 1, got {self.window}")
-
-    def __str__(self) -> str:
-        return f"shuffled-window({self.window})"
-
-
-@dataclass(frozen=True)
-class RepetitionHeavy:
-    """Canonical order with elements repeated up to twice extra at a fixed rate."""
-
-    repeat_rate: float = 0.25
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.repeat_rate < 1.0:
-            raise ValueError(
-                f"repeat rate must lie in [0, 1), got {self.repeat_rate}"
-            )
-
-    def __str__(self) -> str:
-        return f"repetition-heavy({self.repeat_rate})"
-
-
-TextStrategy = Canonical | Padded | ShuffledWindow | RepetitionHeavy
-
 _PAD_BLOCK = 8  # slots per padded block; density resolves to floor(density * 8) pauses
 
 
@@ -311,52 +256,126 @@ def _element_supply(lang: "LanguageRepr") -> Iterator[Artefact]:
         k += 1
 
 
-def _canonical_stream(lang: "LanguageRepr") -> Iterator[Datum]:
-    yield from _element_supply(lang)
-    while True:
-        yield PAUSE
+def _check_rate(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 1:
+        raise ValueError(f"{what} must be a number in [0, 1), got {value!r}")
 
 
-def _padded_stream(lang: "LanguageRepr", density: float, seed: int) -> Iterator[Datum]:
-    supply = _element_supply(lang)
-    pauses_per_block = int(density * _PAD_BLOCK)
-    block = 0
-    while True:
-        rng = derived_rng("padded", seed, block)
-        pause_slots = set(rng.sample(range(_PAD_BLOCK), pauses_per_block))
-        for slot in range(_PAD_BLOCK):
-            if slot in pause_slots:
-                yield PAUSE
-            else:
-                nxt = next(supply, None)
-                yield PAUSE if nxt is None else nxt
-        block += 1
+class _Strategy:
+    """Shared spelling of the text strategies.
+
+    A strategy has at most one parameter, its only dataclass field. It prints
+    as ``name`` or ``name(param)`` and parses from ``name`` or ``name:param``.
+    """
+
+    name: ClassVar[str]
+
+    def __str__(self) -> str:
+        params = ",".join(str(getattr(self, f.name)) for f in fields(self))
+        return f"{self.name}({params})" if params else self.name
+
+    @classmethod
+    def parse(cls, arg: str) -> TextStrategy:
+        """The strategy with the parameter text after ``name:``; empty keeps the default."""
+        if not arg:
+            return cls()
+        params = fields(cls)
+        if not params:
+            raise ValueError(f"{cls.name} takes no parameter")
+        (param,) = params
+        return cls(type(param.default)(arg))
 
 
-def _window_stream(lang: "LanguageRepr", window: int, seed: int) -> Iterator[Datum]:
-    supply = _element_supply(lang)
-    block = 0
-    while True:
-        chunk = list(islice(supply, window))
-        if not chunk:
-            while True:
-                yield PAUSE
-        rng = derived_rng("window", seed, block)
-        rng.shuffle(chunk)
-        yield from chunk
-        block += 1
+@dataclass(frozen=True)
+class Canonical(_Strategy):
+    """Elements in canonical order; nonempty finite languages cycle forever."""
+
+    name: ClassVar[str] = "canonical"
+
+    def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:
+        yield from _element_supply(lang)
+        while True:
+            yield PAUSE
 
 
-def _repetition_stream(lang: "LanguageRepr", rate: float, seed: int) -> Iterator[Datum]:
-    k = 0
-    for a in _element_supply(lang):
-        rng = derived_rng("repeat", seed, k)
-        reps = 1 + (rng.random() < rate) + (rng.random() < rate)
-        for _ in range(reps):
-            yield a
-        k += 1
-    while True:
-        yield PAUSE
+@dataclass(frozen=True)
+class Padded(_Strategy):
+    """Canonical order with pauses mixed in at a fixed density per block."""
+
+    name: ClassVar[str] = "padded"
+    pause_density: float = 0.25
+
+    def __post_init__(self) -> None:
+        _check_rate(self.pause_density, "pause density")
+
+    def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:
+        supply = _element_supply(lang)
+        pauses_per_block = int(self.pause_density * _PAD_BLOCK)
+        block = 0
+        while True:
+            rng = derived_rng("padded", seed, block)
+            pause_slots = set(rng.sample(range(_PAD_BLOCK), pauses_per_block))
+            for slot in range(_PAD_BLOCK):
+                if slot in pause_slots:
+                    yield PAUSE
+                else:
+                    nxt = next(supply, None)
+                    yield PAUSE if nxt is None else nxt
+            block += 1
+
+
+@dataclass(frozen=True)
+class ShuffledWindow(_Strategy):
+    """Canonical order permuted within consecutive windows of fixed size."""
+
+    name: ClassVar[str] = "shuffled-window"
+    window: int = 4
+
+    def __post_init__(self) -> None:
+        if isinstance(self.window, bool) or not isinstance(self.window, int) or self.window < 1:
+            raise ValueError(f"window size must be an integer >= 1, got {self.window!r}")
+
+    def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:
+        supply = _element_supply(lang)
+        block = 0
+        while True:
+            chunk = list(islice(supply, self.window))
+            if not chunk:
+                while True:
+                    yield PAUSE
+            rng = derived_rng("window", seed, block)
+            rng.shuffle(chunk)
+            yield from chunk
+            block += 1
+
+
+@dataclass(frozen=True)
+class RepetitionHeavy(_Strategy):
+    """Canonical order with elements repeated up to twice extra at a fixed rate."""
+
+    name: ClassVar[str] = "repetition-heavy"
+    repeat_rate: float = 0.25
+
+    def __post_init__(self) -> None:
+        _check_rate(self.repeat_rate, "repeat rate")
+
+    def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:
+        k = 0
+        for a in _element_supply(lang):
+            rng = derived_rng("repeat", seed, k)
+            reps = 1 + (rng.random() < self.repeat_rate) + (rng.random() < self.repeat_rate)
+            for _ in range(reps):
+                yield a
+            k += 1
+        while True:
+            yield PAUSE
+
+
+TextStrategy = Canonical | Padded | ShuffledWindow | RepetitionHeavy
+
+STRATEGIES: dict[str, type[TextStrategy]] = {
+    cls.name: cls for cls in (Canonical, Padded, ShuffledWindow, RepetitionHeavy)
+}
 
 
 def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fate:
@@ -367,19 +386,11 @@ def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fa
     equals the language; the empty language yields the all-pause fate under
     every strategy.
     """
-    if isinstance(strategy, Canonical):
-        factory = lambda: _canonical_stream(lang)
-    elif isinstance(strategy, Padded):
-        factory = lambda: _padded_stream(lang, strategy.pause_density, seed)
-    elif isinstance(strategy, ShuffledWindow):
-        factory = lambda: _window_stream(lang, strategy.window, seed)
-    elif isinstance(strategy, RepetitionHeavy):
-        factory = lambda: _repetition_stream(lang, strategy.repeat_rate, seed)
-    else:
+    if not isinstance(strategy, TextStrategy):
         raise TypeError(f"unknown text strategy: {strategy!r}")
     descriptor = {
         "language": lang.describe(),
         "strategy": str(strategy),
         "seed": seed,
     }
-    return Fate(factory, platonic=lang, descriptor=descriptor)
+    return Fate(lambda: strategy.stream(lang, seed), lang, descriptor)

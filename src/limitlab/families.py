@@ -103,8 +103,11 @@ class LanguageRepr:
     def describe(self) -> str:
         if self.label is not None:
             return self.label
-        members = sorted(self.finite_members(), key=lambda a: a.rank)
-        return "{" + ",".join(a.token for a in members) + "}"
+        return _set_literal(self.finite_members())
+
+
+def _set_literal(artefacts: Iterable[Artefact]) -> str:
+    return "{" + ",".join(a.token for a in sorted(artefacts, key=lambda a: a.rank)) + "}"
 
 
 def finite_language(universe: Universe, artefacts: Iterable[Artefact]) -> LanguageRepr:
@@ -259,14 +262,11 @@ class LanguageFamily:
             )
         return best
 
-    def describe_index(self, p: int) -> str:
-        return self.language_of(p).describe()
-
     def tail_set_literal(self, p: int) -> str | None:
         """Decoded set literal when the index falls in the finite-set tail."""
         if p < self.offset:
             return None
-        return self.language_of(p).describe()
+        return _set_literal(decode_finite_set(p - self.offset, self.universe))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,16 +303,14 @@ class AnnotationFamily:
     def compare_index_with(self, p: int, target: LanguageRepr) -> Equality:
         return self.base.compare_index_with(self._base_index(p), target)
 
-    def describe_index(self, p: int) -> str:
-        base_index, note = unpair(p)
-        return f"{self.base.describe_index(base_index)}+note{note}"
-
     def tail_set_literal(self, p: int) -> str | None:
         return self.base.tail_set_literal(unpair(p)[0])
 
 
 def resolve_language(spec: str, universe: Universe) -> LanguageRepr:
     """Parse a language spec: a registry name or a finite literal like {2,4}."""
+    if not isinstance(spec, str):
+        raise ValueError(f"language spec must be a string, got {spec!r}")
     s = spec.strip()
     if s.startswith("{") and s.endswith("}"):
         inner = s[1:-1].strip()

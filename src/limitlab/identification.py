@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -179,8 +179,6 @@ class ExperimentTable:
     rows: tuple
     horizon: int
 
-    CSV_COLUMNS = ("language", "strategy", "seed", "horizon", "verdict", "last_change_step")
-
     @property
     def all_identified(self) -> bool:
         return all(r.verdict == "Identified" for r in self.rows)
@@ -198,18 +196,9 @@ class ExperimentTable:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.language,
-                    r.strategy,
-                    r.seed,
-                    r.horizon,
-                    r.verdict,
-                    "" if r.last_change_step is None else r.last_change_step,
-                ]
-            )
+        columns = [f.name for f in fields(ExperimentRow)]
+        writer.writerow(columns)
+        writer.writerows([getattr(r, c) for c in columns] for r in self.rows)
         return out.getvalue()
 
 

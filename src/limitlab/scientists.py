@@ -81,6 +81,9 @@ def enumeration_scientist(fam: LanguageFamily, class_order: Sequence[int]) -> Sc
     if not class_order:
         raise ValueError("class order must be non-empty")
     order = tuple(class_order)
+    for p in order:
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            raise ValueError(f"class order entries must be indices >= 0, got {p!r}")
     fallback = memorizer(fam)
 
     def conjecture(sigma: Experience) -> int:
@@ -256,7 +259,10 @@ def _build_enumeration(fam: LanguageFamily, params: dict) -> Scientist:
 
 def _build_confidence(fam: LanguageFamily, params: dict) -> Scientist:
     base = build_scientist(params.get("base", "memorizer"), fam)
-    return confidence_annotating(fam, base, int(params.get("initial_confidence", 3)))
+    confidence = params.get("initial_confidence", 3)
+    if isinstance(confidence, (bool, float)):
+        raise ValueError(f"initial confidence must be an integer, got {confidence!r}")
+    return confidence_annotating(fam, base, int(confidence))
 
 
 def _build_set_driven(fam: LanguageFamily, params: dict) -> Scientist:

@@ -43,7 +43,6 @@ class TheoremCheckError(AssertionError):
 
 @dataclass(frozen=True)
 class WitnessRecord:
-    name: str
     claim: str
     values: dict
 
@@ -78,7 +77,6 @@ def novelty_not_sufficient_witness() -> WitnessRecord:
         f"constant scientist moved its index on {candidate!r}",
     )
     return WitnessRecord(
-        name="novelty-not-sufficient",
         claim="a novel artefact need not be transformative",
         values={
             "scientist": scientist.name,
@@ -106,7 +104,6 @@ def novelty_not_necessary_witness() -> WitnessRecord:
         f"ever-changing scientist held its index on {candidate!r}",
     )
     return WitnessRecord(
-        name="novelty-not-necessary",
         claim="a transformative artefact need not be novel",
         values={
             "scientist": scientist.name,
@@ -178,7 +175,6 @@ def set_driven_novelty_property(trials: int = 10_000, seed: int = 0) -> WitnessR
                 f"{scientist.name} transformed on non-novel {a!r} after {sigma!r}",
             )
     return WitnessRecord(
-        name="set-driven-novelty-necessity",
         claim="set-driven scientists transform only on novel artefacts",
         values={
             "scientists": [m.name for m in fleet],
@@ -227,7 +223,6 @@ def novelty_guard_without_set_drivenness_witness(
         "counterexample pair does not separate the scientist",
     )
     return WitnessRecord(
-        name="novelty-guard-without-set-drivenness",
         claim="requiring novelty to transform does not make a scientist set-driven",
         values={
             "swept_cases": swept,
@@ -249,19 +244,19 @@ class SuiteItem:
 def run_theorem_suite(trials: int = 10_000, seed: int = 0) -> tuple[SuiteItem, ...]:
     """Run all four checks, converting failures into failed items."""
     checks = (
-        novelty_not_sufficient_witness,
-        novelty_not_necessary_witness,
-        lambda: set_driven_novelty_property(trials=trials, seed=seed),
-        lambda: novelty_guard_without_set_drivenness_witness(trials=trials, seed=seed),
-    )
-    names = (
-        "novelty-not-sufficient",
-        "novelty-not-necessary",
-        "set-driven-novelty-necessity",
-        "novelty-guard-without-set-drivenness",
+        ("novelty-not-sufficient", novelty_not_sufficient_witness),
+        ("novelty-not-necessary", novelty_not_necessary_witness),
+        (
+            "set-driven-novelty-necessity",
+            lambda: set_driven_novelty_property(trials=trials, seed=seed),
+        ),
+        (
+            "novelty-guard-without-set-drivenness",
+            lambda: novelty_guard_without_set_drivenness_witness(trials=trials, seed=seed),
+        ),
     )
     items = []
-    for name, check in zip(names, checks):
+    for name, check in checks:
         try:
             record = check()
             items.append(SuiteItem(name, True, record.claim, record.values))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import limitlab
 from helpers import U, art, exp, standard_family
 from limitlab import (
     Experience,
+    STRATEGIES,
     Padded,
     Situation,
     make_fate,
@@ -23,7 +25,7 @@ from limitlab import (
     semantic_transformativeness,
     transformativeness,
 )
-from limitlab.cli import main
+from limitlab.cli import main, parse_strategy
 
 TRACE_KEYS = {
     "step",
@@ -292,6 +294,29 @@ def test_list_prints_registries(capsys):
         assert section in out
     assert "  evens" in out
     assert "  repetition-heavy" in out
+    strategies = out.split("strategies:\n")[1]
+    assert strategies.splitlines() == [f"  {name}" for name in STRATEGIES]
+
+
+STRATEGY_SPECS = [
+    ("canonical", {"name": "canonical"}),
+    ("padded", {"name": "padded"}),
+    ("padded:0.5", {"name": "padded", "pause_density": 0.5}),
+    ("shuffled-window:3", {"name": "shuffled-window", "window": 3}),
+    ("repetition-heavy:0.125", {"name": "repetition-heavy", "repeat_rate": 0.125}),
+]
+
+
+def test_strategy_specs_cover_the_registry():
+    assert {params["name"] for _, params in STRATEGY_SPECS} == set(STRATEGIES)
+
+
+@pytest.mark.parametrize("text, params", STRATEGY_SPECS)
+def test_strategy_spec_forms_agree_and_round_trip(text, params):
+    strategy = parse_strategy(text)
+    assert type(strategy) is STRATEGIES[params["name"]]
+    assert parse_strategy(params) == strategy
+    assert parse_strategy(re.sub(r"\((.*)\)$", r":\1", str(strategy))) == strategy
 
 
 @pytest.mark.parametrize(
@@ -302,6 +327,9 @@ def test_list_prints_registries(capsys):
         ("trace", "--language", "primes"),
         ("trace", "--strategy", "padded:1.5"),
         ("identify", "--seeds", "a;b"),
+        ("trace", "--strategy", "canonical:1"),
+        ("trace", "--strategy", "zigzag"),
+        ("trace", "--strategy", "shuffled-window:2.0"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -353,6 +381,36 @@ def test_boolean_config_numbers_rejected(tmp_path, capsys, command, key):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and f"{key} must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("identify", b'{"languages": [5]}'),
+        ("trace", b'{"language": 5}'),
+        ("identify", b'{"seeds": 5}'),
+        ("identify", b'{"strategies": null}'),
+        ("trace", b'{"scientist": {"name": "dumb_visionary", "language": 5}}'),
+        ("trace", b'{"scientist": {"name": "enumeration", "class_order": [-1]}}'),
+        ("trace", b'{"scientist": {"name": "enumeration", "class_order": [1.5]}}'),
+        ("trace", b'{"strategy": {"name": "shuffled-window", "window": true}}'),
+        ("trace", b'{"strategy": {"name": "shuffled-window", "window": 2.0}}'),
+        ("identify", b'{"strategies": [{"name": "padded", "pause_density": false}]}'),
+        ("identify", b'{"strategies": [{"name": "canonical", "window": 2}]}'),
+        ("trace", b'{"scientist": {"name": "confidence_annotating", "initial_confidence": true}}'),
+        ("trace", b'{"scientist": {"name": "confidence_annotating", "initial_confidence": 2.5}}'),
+        ("trace", b"\xff\xfe{}"),
+        ("trace", b"[" * 100_000 + b"]" * 100_000),
+        ("trace", b'{"horizon": 1' + b"0" * 5000 + b"}"),
+    ],
+)
+def test_malformed_config_values_exit_two(tmp_path, capsys, command, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("limitlab: ")
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv", "pretty"])

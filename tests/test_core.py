@@ -198,11 +198,27 @@ def test_finite_language_cycles_forever():
         lambda: Padded(-0.01),
         lambda: ShuffledWindow(0),
         lambda: RepetitionHeavy(1.0),
+        lambda: Padded(False),
+        lambda: Padded("0.5"),
+        lambda: ShuffledWindow(True),
+        lambda: ShuffledWindow(2.0),
+        lambda: RepetitionHeavy(True),
+        lambda: RepetitionHeavy(float("nan")),
     ],
 )
 def test_out_of_range_strategy_parameters_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_integer_density_keeps_its_label():
+    assert str(Padded(0)) == "padded(0)"
+    assert str(RepetitionHeavy(0)) == "repetition-heavy(0)"
+
+
+def test_make_fate_rejects_a_non_strategy():
+    with pytest.raises(TypeError):
+        make_fate(TWO_FOUR, "canonical")
 
 
 def test_descriptor_is_compact():
