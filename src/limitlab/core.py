@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator
@@ -332,8 +333,11 @@ class ShuffledWindow(_Strategy):
     window: int = 4
 
     def __post_init__(self) -> None:
-        if isinstance(self.window, bool) or not isinstance(self.window, int) or self.window < 1:
-            raise ValueError(f"window size must be an integer >= 1, got {self.window!r}")
+        # islice takes at most sys.maxsize items per window.
+        if type(self.window) is not int or not 1 <= self.window <= sys.maxsize:
+            raise ValueError(
+                f"window size must be an integer from 1 to {sys.maxsize}, got {self.window!r}"
+            )
 
     def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:
         supply = _element_supply(lang)

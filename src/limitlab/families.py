@@ -332,10 +332,16 @@ def family_from_config(config: Mapping) -> LanguageFamily:
     if universe_name not in UNIVERSES:
         raise ValueError(f"unknown universe: {universe_name!r}")
     universe = UNIVERSES[universe_name]()
+    names = config.get("specials", [])
+    if not isinstance(names, list):
+        raise ValueError(f"specials must be a list, got {names!r}")
     specials = []
-    for name in config.get("specials", ()):
+    for name in names:
         if name not in LANGUAGES:
             raise ValueError(f"unknown special language: {name!r}")
         specials.append(LANGUAGES[name](universe))
-    oracle = registry_oracle() if config.get("registry_oracle", True) else None
+    use_oracle = config.get("registry_oracle", True)
+    if not isinstance(use_oracle, bool):
+        raise ValueError(f"registry_oracle must be true or false, got {use_oracle!r}")
+    oracle = registry_oracle() if use_oracle else None
     return LanguageFamily(universe, tuple(specials), oracle)

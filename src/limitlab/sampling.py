@@ -8,6 +8,9 @@ from .core import PAUSE, Artefact, Experience, Universe
 
 __all__ = ["sample_artefact", "sample_experience", "sample_same_content"]
 
+PAUSE_RATE = 0.2  # per-draw chance of a pause in a sampled experience
+MAX_EXTRA = 3  # most re-duplicated elements in a same-content experience
+
 
 def sample_artefact(rng: random.Random, universe: Universe, max_rank: int = 7) -> Artefact:
     return universe.artefact(rng.randint(0, max_rank))
@@ -18,23 +21,17 @@ def sample_experience(
     universe: Universe,
     max_rank: int = 7,
     max_len: int = 8,
-    pause_rate: float = 0.2,
 ) -> Experience:
     """Random experience with pauses; duplicates arise from the small rank range."""
     n = rng.randint(0, max_len)
     items = tuple(
-        PAUSE if rng.random() < pause_rate else sample_artefact(rng, universe, max_rank)
+        PAUSE if rng.random() < PAUSE_RATE else sample_artefact(rng, universe, max_rank)
         for _ in range(n)
     )
     return Experience(items)
 
 
-def sample_same_content(
-    rng: random.Random,
-    sigma: Experience,
-    max_extra: int = 3,
-    pause_rate: float = 0.2,
-) -> Experience:
+def sample_same_content(rng: random.Random, sigma: Experience) -> Experience:
     """A fresh experience with exactly the content of ``sigma``.
 
     Reorders the inspiring set, re-duplicates elements of it, and sprinkles
@@ -44,12 +41,12 @@ def sample_same_content(
     # Rank order, not set order: set iteration follows the string hash seed.
     artefacts = sorted(sigma.content(), key=lambda a: a.rank)
     if not artefacts:
-        return Experience(tuple(PAUSE for _ in range(rng.randint(0, max_extra))))
-    seq = artefacts + [rng.choice(artefacts) for _ in range(rng.randint(0, max_extra))]
+        return Experience(tuple(PAUSE for _ in range(rng.randint(0, MAX_EXTRA))))
+    seq = artefacts + [rng.choice(artefacts) for _ in range(rng.randint(0, MAX_EXTRA))]
     rng.shuffle(seq)
     items: list = []
     for a in seq:
-        while rng.random() < pause_rate:
+        while rng.random() < PAUSE_RATE:
             items.append(PAUSE)
         items.append(a)
     return Experience(tuple(items))

@@ -7,6 +7,7 @@ at the bottom names each builder for configs and experiment sweeps.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -18,7 +19,7 @@ from .families import (
     pair,
     resolve_language,
 )
-from .sampling import sample_artefact, sample_experience, sample_same_content
+from .sampling import sample_experience, sample_same_content
 
 __all__ = [
     "SCIENTISTS",
@@ -191,45 +192,45 @@ class SampledCheck:
     counterexample: tuple | None = None
 
 
-def is_set_driven_sampled(
-    scientist: Scientist,
-    trials: int = 10_000,
-    seed: int = 0,
-    max_rank: int = 7,
-    max_len: int = 8,
+def _sampled_check(
+    kind: str, scientist: Scientist, trials: int, seed: int, probe: Callable
 ) -> SampledCheck:
-    """Probe equal-content experience pairs for an index mismatch."""
+    """Run ``probe(rng, sigma)`` on sampled experiences until it returns a counterexample."""
     if trials <= 0:
         raise ValueError(f"trials must be > 0, got {trials}")
-    rng = derived_rng("set-driven", seed, scientist.name)
+    rng = derived_rng(kind, seed, scientist.name)
     universe = scientist.family.universe
     for t in range(trials):
-        sigma = sample_experience(rng, universe, max_rank, max_len)
-        tau = sample_same_content(rng, sigma)
-        if scientist.conjecture(sigma) != scientist.conjecture(tau):
-            return SampledCheck(False, t + 1, (sigma, tau))
+        found = probe(rng, sample_experience(rng, universe))
+        if found is not None:
+            return SampledCheck(False, t + 1, found)
     return SampledCheck(True, trials)
+
+
+def is_set_driven_sampled(
+    scientist: Scientist, trials: int = 10_000, seed: int = 0
+) -> SampledCheck:
+    """Probe equal-content experience pairs for an index mismatch."""
+
+    def probe(rng: random.Random, sigma: Experience) -> tuple | None:
+        tau = sample_same_content(rng, sigma)
+        differs = scientist.conjecture(sigma) != scientist.conjecture(tau)
+        return (sigma, tau) if differs else None
+
+    return _sampled_check("set-driven", scientist, trials, seed, probe)
 
 
 def is_consistent_sampled(
-    scientist: Scientist,
-    trials: int = 10_000,
-    seed: int = 0,
-    max_rank: int = 7,
-    max_len: int = 8,
+    scientist: Scientist, trials: int = 10_000, seed: int = 0
 ) -> SampledCheck:
     """Probe for an experienced artefact outside the conjectured language."""
-    if trials <= 0:
-        raise ValueError(f"trials must be > 0, got {trials}")
-    rng = derived_rng("consistent", seed, scientist.name)
-    universe = scientist.family.universe
-    for t in range(trials):
-        sigma = sample_experience(rng, universe, max_rank, max_len)
+
+    def probe(rng: random.Random, sigma: Experience) -> tuple | None:
         lang = scientist.family.language_of(scientist.conjecture(sigma))
-        for a in sorted(sigma.content(), key=lambda x: x.rank):
-            if not lang.contains(a):
-                return SampledCheck(False, t + 1, (sigma, a))
-    return SampledCheck(True, trials)
+        ranked = sorted(sigma.content(), key=lambda x: x.rank)
+        return next(((sigma, a) for a in ranked if not lang.contains(a)), None)
+
+    return _sampled_check("consistent", scientist, trials, seed, probe)
 
 
 def _default_class_order(fam: LanguageFamily) -> tuple[int, ...]:
@@ -308,4 +309,7 @@ def build_scientist(spec: str | dict, fam: LanguageFamily) -> Scientist:
             raise ValueError("scientist spec needs a 'name' entry")
     if name not in SCIENTISTS:
         raise ValueError(f"unknown scientist: {name!r}")
+    unknown = sorted(set(params) - set(_SPEC_KEYS.get(name, ())))
+    if unknown:
+        raise ValueError(f"{name} takes no {', '.join(map(repr, unknown))} entry")
     return SCIENTISTS[name](fam, params)

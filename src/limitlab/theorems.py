@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import PAUSE, Experience, Universe, decimal_universe, derived_rng
-from .families import LanguageFamily, evens_language, odds_language, registry_oracle
+from .core import PAUSE, Artefact, Experience, Universe, derived_rng
+from .families import LanguageFamily, family_from_config
 from .sampling import sample_artefact, sample_experience
 from .scientists import (
     SCIENTISTS,
@@ -53,74 +53,70 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _witness_family() -> LanguageFamily:
-    universe = decimal_universe()
-    return LanguageFamily(
-        universe,
-        (evens_language(universe), odds_language(universe)),
-        registry_oracle(),
+    return family_from_config({"specials": ["evens", "odds"]})
+
+
+def _require_novel_if_transformative(
+    scientist: Scientist, sigma: Experience, a: Artefact
+) -> None:
+    """Novelty is asked only when appending ``a`` moves the scientist."""
+    s = Situation(scientist, sigma)
+    if transformativeness(a, s) == 1:
+        _check(
+            novelty(a, s) == 1,
+            f"{scientist.name} transformed on non-novel {a!r} after {sigma!r}",
+        )
+
+
+def _single_append_witness(
+    scientist: Scientist, rank: int, expected: dict, claim: str
+) -> WitnessRecord:
+    """Append the artefact of ``rank`` to (2 4) and require the expected schema values."""
+    u = scientist.family.universe
+    sigma = Experience.of(u.artefact(2), u.artefact(4))
+    a = u.artefact(rank)
+    s = Situation(scientist, sigma)
+    values = {"novel": novelty(a, s), "transformative": transformativeness(a, s)}
+    _check(
+        values == expected,
+        f"{scientist.name} rated {a!r} after {sigma!r} {values}, expected {expected}",
     )
+    shown = {"scientist": scientist.name, "experience": "(2 4)", "artefact": str(rank)}
+    return WitnessRecord(claim, shown | values)
 
 
 def novelty_not_sufficient_witness() -> WitnessRecord:
     """A constant scientist meets a never-seen artefact and does not budge."""
     fam = _witness_family()
-    u = fam.universe
-    scientist = dumb_visionary(fam, fam.specials[0])
-    sigma = Experience.of(u.artefact(2), u.artefact(4))
-    candidate = u.artefact(5)
-    s = Situation(scientist, sigma)
-    novel = novelty(candidate, s)
-    transformative = transformativeness(candidate, s)
-    _check(novel == 1, f"{candidate!r} should be novel after {sigma!r}")
-    _check(
-        transformative == 0,
-        f"constant scientist moved its index on {candidate!r}",
-    )
-    return WitnessRecord(
-        claim="a novel artefact need not be transformative",
-        values={
-            "scientist": scientist.name,
-            "experience": "(2 4)",
-            "artefact": "5",
-            "novel": novel,
-            "transformative": transformative,
-        },
+    return _single_append_witness(
+        dumb_visionary(fam, fam.specials[0]), 5, {"novel": 1, "transformative": 0},
+        "a novel artefact need not be transformative",
     )
 
 
 def novelty_not_necessary_witness() -> WitnessRecord:
     """An ever-changing scientist moves its index on an already-seen artefact."""
-    fam = _witness_family()
-    u = fam.universe
-    scientist = ever_changing(fam)
-    sigma = Experience.of(u.artefact(2), u.artefact(4))
-    candidate = u.artefact(2)
-    s = Situation(scientist, sigma)
-    novel = novelty(candidate, s)
-    transformative = transformativeness(candidate, s)
-    _check(novel == 0, f"{candidate!r} should not be novel after {sigma!r}")
-    _check(
-        transformative == 1,
-        f"ever-changing scientist held its index on {candidate!r}",
-    )
-    return WitnessRecord(
-        claim="a transformative artefact need not be novel",
-        values={
-            "scientist": scientist.name,
-            "experience": "(2 4)",
-            "artefact": "2",
-            "novel": novel,
-            "transformative": transformative,
-        },
+    return _single_append_witness(
+        ever_changing(_witness_family()), 2, {"novel": 0, "transformative": 1},
+        "a transformative artefact need not be novel",
     )
 
 
-def _all_experiences(universe: Universe, ranks: range, max_len: int):
-    """Every experience up to max_len over the given ranks plus the pause."""
-    alphabet = [universe.artefact(r) for r in ranks] + [PAUSE]
-    for length in range(max_len + 1):
-        for items in product(alphabet, repeat=length):
-            yield Experience(items)
+def _sweep(fleet: list[Scientist], universe: Universe, max_len: int) -> int:
+    """Append each rank 0-2 artefact to every experience up to ``max_len`` over
+    ranks 0-2 and the pause, for each scientist; returns the number of cases.
+    """
+    candidates = [universe.artefact(r) for r in range(3)]
+    alphabet = candidates + [PAUSE]
+    cases = 0
+    for scientist in fleet:
+        for length in range(max_len + 1):
+            for items in product(alphabet, repeat=length):
+                sigma = Experience(items)
+                for a in candidates:
+                    _require_novel_if_transformative(scientist, sigma, a)
+                    cases += 1
+    return cases
 
 
 def _set_driven_fleet(fam: LanguageFamily) -> list[Scientist]:
@@ -149,31 +145,12 @@ def set_driven_novelty_property(trials: int = 10_000, seed: int = 0) -> WitnessR
     fam = _witness_family()
     u = fam.universe
     fleet = _set_driven_fleet(fam)
-
-    exhaustive = 0
-    candidates = [u.artefact(r) for r in range(3)]
-    for scientist in fleet:
-        for sigma in _all_experiences(u, range(3), 3):
-            s = Situation(scientist, sigma)
-            for a in candidates:
-                if transformativeness(a, s) == 1:
-                    _check(
-                        novelty(a, s) == 1,
-                        f"{scientist.name} transformed on non-novel {a!r} after {sigma!r}",
-                    )
-                exhaustive += 1
-
+    exhaustive = _sweep(fleet, u, 3)
     rng = derived_rng("set-driven-novelty", seed)
     for _ in range(trials):
         scientist = rng.choice(fleet)
         sigma = sample_experience(rng, u)
-        a = sample_artefact(rng, u)
-        s = Situation(scientist, sigma)
-        if transformativeness(a, s) == 1:
-            _check(
-                novelty(a, s) == 1,
-                f"{scientist.name} transformed on non-novel {a!r} after {sigma!r}",
-            )
+        _require_novel_if_transformative(scientist, sigma, sample_artefact(rng, u))
     return WitnessRecord(
         claim="set-driven scientists transform only on novel artefacts",
         values={
@@ -196,26 +173,10 @@ def novelty_guard_without_set_drivenness_witness(
     different indices.
     """
     fam = _witness_family()
-    u = fam.universe
     scientist = last_novel(fam)
-
-    swept = 0
-    candidates = [u.artefact(r) for r in range(3)]
-    for sigma in _all_experiences(u, range(3), 4):
-        s = Situation(scientist, sigma)
-        for a in candidates:
-            if transformativeness(a, s) == 1:
-                _check(
-                    novelty(a, s) == 1,
-                    f"last_novel transformed on non-novel {a!r} after {sigma!r}",
-                )
-            swept += 1
-
+    swept = _sweep([scientist], fam.universe, 4)
     check = is_set_driven_sampled(scientist, trials=trials, seed=seed)
-    _check(
-        not check.passed,
-        "last_novel unexpectedly looked set-driven under sampling",
-    )
+    _check(not check.passed, "last_novel unexpectedly looked set-driven under sampling")
     sigma, tau = check.counterexample
     _check(sigma.content() == tau.content(), "counterexample pair content differs")
     _check(

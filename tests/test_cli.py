@@ -330,6 +330,7 @@ def test_strategy_spec_forms_agree_and_round_trip(text, params):
         ("trace", "--strategy", "canonical:1"),
         ("trace", "--strategy", "zigzag"),
         ("trace", "--strategy", "shuffled-window:2.0"),
+        ("trace", "--strategy", "shuffled-window:99999999999999999999", "--horizon", "2"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -402,6 +403,10 @@ def test_boolean_config_numbers_rejected(tmp_path, capsys, command, key):
         ("trace", b"\xff\xfe{}"),
         ("trace", b"[" * 100_000 + b"]" * 100_000),
         ("trace", b'{"horizon": 1' + b"0" * 5000 + b"}"),
+        ("trace", b'{"scientist": {"name": "confidence_annotating", "initial_confidance": 9}}'),
+        ("trace", b'{"scientist": {"name": "memorizer", "bogus": 1}}'),
+        ("trace", b'{"family": {"registry_oracle": "no"}}'),
+        ("trace", b'{"family": {"specials": "evens"}}'),
     ],
 )
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, content):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,6 +206,7 @@ def test_finite_language_cycles_forever():
         lambda: ShuffledWindow(2.0),
         lambda: RepetitionHeavy(True),
         lambda: RepetitionHeavy(float("nan")),
+        lambda: ShuffledWindow(sys.maxsize + 1),
     ],
 )
 def test_out_of_range_strategy_parameters_rejected(build):

@@ -269,6 +269,13 @@ def test_family_from_config_rejects_unknown_names():
         family_from_config({"specials": ["primes"]})
 
 
+def test_family_from_config_rejects_wrongly_typed_values():
+    with pytest.raises(ValueError, match="specials must be a list"):
+        family_from_config({"specials": "evens"})
+    with pytest.raises(ValueError, match="registry_oracle must be true or false"):
+        family_from_config({"registry_oracle": "no"})
+
+
 def test_registry_oracle_is_pairwise_not_equal():
     oracle = registry_oracle()
     assert oracle[frozenset({"evens", "odds"})] is Equality.NOT_EQUAL

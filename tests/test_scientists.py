@@ -13,6 +13,7 @@ from helpers import (
     standard_family,
 )
 from limitlab import (
+    SCIENTISTS,
     Experience,
     build_scientist,
     canonical_experience,
@@ -374,3 +375,18 @@ def test_build_scientist_rejects_bad_specs():
         build_scientist("memorizer:extra", FAM)
     with pytest.raises(ValueError):
         build_scientist({"language": "evens"}, FAM)
+
+
+@pytest.mark.parametrize("name", sorted(SCIENTISTS))
+def test_build_scientist_rejects_unknown_keys(name):
+    with pytest.raises(ValueError, match="takes no 'bogus' entry"):
+        build_scientist({"name": name, "bogus": 1}, FAM)
+    with pytest.raises(ValueError, match="takes no 'bogus' entry"):
+        build_scientist({"name": "set_driven", "base": {"name": name, "bogus": 1}}, FAM)
+
+
+def test_build_scientist_accepts_every_named_key():
+    sci = build_scientist(
+        {"name": "confidence_annotating", "base": "memorizer", "initial_confidence": 2}, FAM
+    )
+    assert sci.name == "confidence_annotating(memorizer,2)"

@@ -10,6 +10,7 @@ from limitlab import (
     dumb_visionary,
     ever_changing,
     finite_language,
+    memorizer,
     novelty,
     novelty_guard_without_set_drivenness_witness,
     novelty_not_necessary_witness,
@@ -18,6 +19,7 @@ from limitlab import (
     set_driven_novelty_property,
     transformativeness,
 )
+from limitlab.scientists import SampledCheck
 
 FAM = standard_family()
 
@@ -84,16 +86,35 @@ def test_suite_runs_all_four_and_passes():
     assert all(item.passed for item in items)
 
 
-def test_suite_reports_failures_instead_of_raising(monkeypatch):
-    from limitlab import theorems
-    from limitlab.scientists import SampledCheck
+def _never_finds(sci, trials=0, seed=0):
+    return SampledCheck(True, trials)
 
-    # A sampler that never finds the violation breaks the order-sensitivity
-    # witness; the suite must turn that into a failed item.
-    monkeypatch.setattr(
-        theorems,
-        "is_set_driven_sampled",
-        lambda sci, trials=0, seed=0: SampledCheck(True, trials),
-    )
+
+# (patched name in theorems, replacement, index of the one failing check, summary prefix)
+@pytest.mark.parametrize(
+    "name, replacement, failing, summary",
+    [
+        # A sampler that never finds the violation breaks the order-sensitivity witness.
+        ("is_set_driven_sampled", _never_finds, 3, ""),
+        # A memorizer holds its index on an already-seen artefact.
+        ("ever_changing", memorizer, 1, ""),
+        # An ever-changing scientist transforms on repeated artefacts.
+        (
+            "_set_driven_fleet",
+            lambda fam: [ever_changing(fam)],
+            2,
+            "ever_changing transformed on non-novel",
+        ),
+    ],
+    ids=["is_set_driven_sampled", "ever_changing", "_set_driven_fleet"],
+)
+def test_suite_reports_failures_instead_of_raising(
+    monkeypatch, name, replacement, failing, summary
+):
+    from limitlab import theorems
+
+    # Each break fails exactly one check; the suite turns it into a failed item.
+    monkeypatch.setattr(theorems, name, replacement)
     items = theorems.run_theorem_suite(trials=50, seed=0)
-    assert [item.passed for item in items] == [True, True, True, False]
+    assert [item.passed for item in items] == [i != failing for i in range(4)]
+    assert items[failing].summary.startswith(summary)
