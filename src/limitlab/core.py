@@ -13,7 +13,7 @@ import random
 import sys
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .families import LanguageRepr
@@ -57,9 +57,13 @@ class Pause:
 PAUSE = Pause()
 
 
-@dataclass(frozen=True)
-class Artefact:
-    """One member of the universe, identified by its token and its rank."""
+class Artefact(NamedTuple):
+    """One member of the universe, identified by its token and its rank.
+
+    A tuple underneath, so hashing and equality run in C. It therefore also
+    compares equal to the plain ``(token, rank)`` tuple; ``isinstance`` still
+    tells the two apart.
+    """
 
     token: str
     rank: int
@@ -168,7 +172,9 @@ class Experience:
 
     def content(self) -> frozenset:
         """The inspiring set: artefacts seen, pauses dropped, duplicates collapsed."""
-        return frozenset(d for d in self.items if not is_pause(d))
+        seen = set(self.items)
+        seen.discard(PAUSE)
+        return frozenset(seen)
 
     def __repr__(self) -> str:
         inner = " ".join("#" if is_pause(d) else d.token for d in self.items)

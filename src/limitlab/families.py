@@ -120,6 +120,29 @@ def finite_language(universe: Universe, artefacts: Iterable[Artefact]) -> Langua
     )
 
 
+def _tail_language(universe: Universe, code: int) -> LanguageRepr:
+    """The finite language with set code ``code``, decoded on first enumeration only.
+
+    Membership is a bit test plus a token check, so an artefact of another
+    universe with a member's rank stays a non-member.
+    """
+    to_token = universe.to_token
+    decoded: list[tuple] = []  # the members in rank order, once decoded
+
+    def contains(a: Artefact) -> bool:
+        rank = a.rank
+        return (code >> rank) & 1 == 1 and a.token == to_token(rank)
+
+    def element(k: int) -> Artefact | None:
+        if not decoded:
+            members = decode_finite_set(code, universe)
+            decoded.append(tuple(sorted(members, key=lambda a: a.rank)))
+        ordered = decoded[0]
+        return ordered[k] if 0 <= k < len(ordered) else None
+
+    return LanguageRepr(contains=contains, element=element, size=code.bit_count())
+
+
 def evens_language(universe: Universe) -> LanguageRepr:
     # Positive even ranks only: 2, 4, 6, ...
     return LanguageRepr(
@@ -211,9 +234,7 @@ class LanguageFamily:
             raise ValueError(f"hypothesis index must be >= 0, got {p}")
         if p < self.offset:
             return self.specials[p]
-        return finite_language(
-            self.universe, decode_finite_set(p - self.offset, self.universe)
-        )
+        return _tail_language(self.universe, p - self.offset)
 
     def finite_index(self, artefacts: Iterable[Artefact]) -> int:
         """Index of a finite language in the tail (ignoring duplicate specials)."""

@@ -115,8 +115,14 @@ def confidence_annotating(
     at zero the base hypothesis is re-asked on the data so far and confidence
     resets. Pauses change nothing but the step count. The emitted index pairs
     the base index with (confidence, step count), so it moves at every
-    extension while denoting whatever the base index denotes.
+    extension while denoting whatever the base index denotes. The base must
+    conjecture in ``fam`` itself: the index of a nested annotator is a pair,
+    not an index of ``fam``.
     """
+    if base.family is not fam:
+        raise ValueError(
+            f"the base {base.name} does not conjecture in the annotated family"
+        )
     if initial_confidence < 1:
         raise ValueError(
             f"initial confidence must be >= 1, got {initial_confidence}"

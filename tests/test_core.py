@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import U, art, exp
 from limitlab import (
     PAUSE,
+    Artefact,
     Canonical,
     Experience,
     Padded,
@@ -56,6 +57,37 @@ def test_content_of_empty_prefix():
 
 def test_content_collapses_repeats():
     assert exp("5 5 5").content() == {art(5)}
+
+
+@settings(max_examples=200)
+@given(experiences(max_rank=5, max_len=30))
+def test_content_matches_the_filtering_reference(sigma):
+    content = sigma.content()
+    assert type(content) is frozenset
+    assert content == frozenset(d for d in sigma.items if not is_pause(d))
+
+
+# ---------------------------------------------------------------------------
+# artefacts
+
+
+@given(st.sampled_from("0 1 2 a b".split()), st.integers(0, 3),
+       st.sampled_from("0 1 2 a b".split()), st.integers(0, 3))
+def test_artefacts_are_equal_exactly_when_token_and_rank_are(t1, r1, t2, r2):
+    a, b = Artefact(t1, r1), Artefact(t2, r2)
+    assert (a == b) == ((t1, r1) == (t2, r2))
+    assert hash(a) == hash((a.token, a.rank))
+
+
+def test_artefact_value_semantics():
+    a = art(7)
+    assert repr(a) == "Artefact(7)"
+    assert a != PAUSE and PAUSE != a
+    assert a == ("7", 7)  # a tuple underneath, as documented
+    with pytest.raises(AttributeError):
+        a.rank = 8
+    with pytest.raises(AttributeError):
+        a.token = "8"
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,14 @@ from limitlab import (
     evens_language,
     family_from_config,
     finite_language,
+    letters_universe,
     odds_language,
     pair,
     registry_oracle,
     resolve_language,
     unpair,
 )
+from limitlab import families
 from limitlab.families import AnnotationFamily
 
 FAM = standard_family()
@@ -129,6 +131,43 @@ def test_enumeration_agrees_with_membership():
             assert lang.contains(a)
             assert a not in seen
             seen.add(a)
+
+
+LETTERS = letters_universe()
+# Each tail family paired with a universe whose artefacts it must never contain.
+TAIL_CASES = [(FAM, LETTERS), (LanguageFamily(LETTERS), U)]
+set_codes = st.one_of(
+    st.integers(0, 2**70),
+    st.sets(st.integers(0, 400), max_size=10).map(lambda ranks: sum(1 << r for r in ranks)),
+)
+
+
+@pytest.mark.parametrize("fam, foreign", TAIL_CASES, ids=["decimal", "letters"])
+@given(code=set_codes)
+def test_tail_language_agrees_with_the_decoded_finite_language(fam, foreign, code):
+    lazy = fam.language_of(fam.offset + code)
+    reference = finite_language(fam.universe, decode_finite_set(code, fam.universe))
+    for rank in range(code.bit_length() + 3):
+        a = fam.universe.artefact(rank)
+        assert lazy.contains(a) == reference.contains(a)
+        assert lazy.contains(foreign.artefact(rank)) == reference.contains(foreign.artefact(rank))
+    assert lazy.size == reference.size
+    for k in range(-1, lazy.size + 1):
+        assert lazy.element(k) == reference.element(k)
+    assert lazy.finite_members() == reference.finite_members()
+    assert lazy.describe() == reference.describe()
+
+
+def test_tail_membership_and_size_do_not_decode(monkeypatch):
+    def refuse(code, universe):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(families, "decode_finite_set", refuse)
+    lang = FAM.language_of(FAM.offset + 2**2 + 2**400)
+    assert lang.size == 2
+    assert lang.contains(art(400)) and lang.contains(art(2))
+    assert not lang.contains(art(3)) and not lang.contains(art(401))
+    assert not lang.contains(LETTERS.artefact(2))
 
 
 def test_finite_enumeration_defined_exactly_below_size():

@@ -75,6 +75,15 @@ def test_novelty_ignores_the_scientist():
         assert len(verdicts) == 1
 
 
+def test_schemas_reject_a_bare_tuple():
+    # An artefact compares equal to its (token, rank) tuple; the schemas still
+    # rate artefacts only.
+    s = sit(memorizer(FAM), "2")
+    for schema in (novelty, transformativeness, semantic_transformativeness):
+        with pytest.raises(TypeError):
+            schema(("2", 2), s)
+
+
 def test_schemas_reject_the_pause():
     s = sit(memorizer(FAM), "2")
     with pytest.raises(TypeError):

@@ -203,6 +203,19 @@ def test_annotating_rejects_zero_confidence():
         confidence_annotating(FAM, memorizer(FAM), 0)
 
 
+@pytest.mark.parametrize(
+    "base_spec",
+    ["confidence_annotating", {"name": "set_driven", "base": "confidence_annotating"}],
+)
+def test_annotating_rejects_a_base_from_another_family(base_spec):
+    # A nested annotator emits paired indices, which are not indices of FAM.
+    base = build_scientist(base_spec, FAM)
+    with pytest.raises(ValueError, match="does not conjecture in the annotated family"):
+        confidence_annotating(FAM, base, 3)
+    with pytest.raises(ValueError):
+        confidence_annotating(standard_family(), memorizer(FAM), 3)
+
+
 # ---------------------------------------------------------------------------
 # last novel
 
