@@ -14,7 +14,6 @@ from .core import (
     Datum,
     Experience,
     Fate,
-    InspiringSet,
     Padded,
     Pause,
     RepetitionHeavy,

@@ -4,13 +4,15 @@ Subcommands: ``trace`` (schema sweep along one fate), ``identify`` (class
 identification table), ``theorems`` (witness suite), ``list`` (registries).
 Configuration comes from a JSON document; flags override file values. Output
 is byte-identical for identical configs. Exit codes: 0 success, 1 theorem
-suite failure, 2 usage or config error.
+suite failure, 2 usage or config error, 141 stdout closed early (a reader
+such as ``head`` went away; 128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Sequence
@@ -39,6 +41,7 @@ DEFAULTS: dict = {
 }
 
 _MAX_SEED = 2**64 - 1
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 class ConfigError(Exception):
@@ -142,14 +145,15 @@ def cmd_trace(config: dict) -> int:
     strategy = parse_strategy(config["strategy"])
     fate = make_fate(language, strategy, config["seed"])
     trace = transformation_trace(scientist, fate, config["horizon"])
+    hyp_sets = scientist.family.tail_set_literals(step.hyp_index for step in trace.steps)
     records = []
-    for step in trace.steps:
+    for step, hyp_set in zip(trace.steps, hyp_sets):
         records.append(
             {
                 "step": step.step,
                 "datum": "#" if is_pause(step.datum) else step.datum.token,
                 "hyp_index": step.hyp_index,
-                "hyp_set": scientist.family.tail_set_literal(step.hyp_index),
+                "hyp_set": hyp_set,
                 "hyp_changed": step.hyp_changed,
                 "novel": step.novel,
                 "transformative": step.transformative,
@@ -166,7 +170,9 @@ def cmd_trace(config: dict) -> int:
             f"{sys.get_int_max_str_digits()} decimal digits and cannot be printed; "
             "use a shorter horizon or a language with smaller ranks"
         ) from err
-    sys.stdout.write("".join(line + "\n" for line in lines))
+    # One write per line: on an unbuffered stdout, a write that a departing
+    # reader cuts short returns without an error, but the next one raises.
+    sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 
 
@@ -214,7 +220,7 @@ def cmd_identify(config: dict) -> int:
             print(_json_line(asdict(row)))
         print(_json_line({"summary": table.summary(), "scientist": scientist.name}))
     elif fmt == "csv":
-        sys.stdout.write(table.to_csv())
+        sys.stdout.writelines(table.to_csv().splitlines(keepends=True))  # see cmd_trace
         print(f"# {scientist.name}: {table.summary()}", file=sys.stderr)
     else:
         widths = (24, 22, 6, 8)
@@ -357,10 +363,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
     try:
         config = load_config(args.config, overrides)
-        return args.handler(config)
+        code = args.handler(config)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ConfigError as err:
         print(f"{PROG}: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (``| head``). Point stdout at the null device so
+        # that the flush at exit stays quiet, and exit as SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

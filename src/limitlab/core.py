@@ -25,7 +25,6 @@ __all__ = [
     "Datum",
     "Experience",
     "Fate",
-    "InspiringSet",
     "Padded",
     "Pause",
     "RepetitionHeavy",
@@ -46,15 +45,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Pause:
-    """The null datum: a text step that carries no artefact."""
+    """The null datum: a text step that carries no artefact.
+
+    A singleton: ``Pause()``, copies and unpickled pauses are all ``PAUSE``,
+    so the pause hashes and compares by identity, in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls) -> Pause:
+        return PAUSE
+
+    def __reduce__(self) -> str:
+        return "PAUSE"  # copy, deepcopy and pickle hand back the singleton
 
     def __repr__(self) -> str:
         return "#"
 
 
-PAUSE = Pause()
+PAUSE = object.__new__(Pause)
 
 
 class Artefact(NamedTuple):
@@ -74,13 +84,9 @@ class Artefact(NamedTuple):
 
 Datum = Artefact | Pause
 
-# Inspiring sets are plain frozensets of artefacts: duplicate-free,
-# pause-free by construction, order-insensitive equality for free.
-InspiringSet = frozenset
-
 
 def is_pause(d: Datum) -> bool:
-    return isinstance(d, Pause)
+    return d is PAUSE
 
 
 @dataclass(frozen=True)

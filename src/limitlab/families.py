@@ -9,6 +9,7 @@ enumeration stays computable.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
@@ -103,16 +104,21 @@ class LanguageRepr:
     def describe(self) -> str:
         if self.label is not None:
             return self.label
-        return _set_literal(self.finite_members())
+        return _set_literal(a.token for a in _by_rank(self.finite_members()))
 
 
-def _set_literal(artefacts: Iterable[Artefact]) -> str:
-    return "{" + ",".join(a.token for a in sorted(artefacts, key=lambda a: a.rank)) + "}"
+def _by_rank(artefacts: Iterable[Artefact]) -> list[Artefact]:
+    return sorted(artefacts, key=lambda a: a.rank)
+
+
+def _set_literal(tokens: Iterable[str]) -> str:
+    """The literal of a finite set, from its members' tokens in rank order."""
+    return "{" + ",".join(tokens) + "}"
 
 
 def finite_language(universe: Universe, artefacts: Iterable[Artefact]) -> LanguageRepr:
     members = frozenset(artefacts)
-    ordered = tuple(sorted(members, key=lambda a: a.rank))
+    ordered = tuple(_by_rank(members))
     return LanguageRepr(
         contains=lambda a: a in members,
         element=lambda k: ordered[k] if 0 <= k < len(ordered) else None,
@@ -136,7 +142,7 @@ def _tail_language(universe: Universe, code: int) -> LanguageRepr:
     def element(k: int) -> Artefact | None:
         if not decoded:
             members = decode_finite_set(code, universe)
-            decoded.append(tuple(sorted(members, key=lambda a: a.rank)))
+            decoded.append(tuple(_by_rank(members)))
         ordered = decoded[0]
         return ordered[k] if 0 <= k < len(ordered) else None
 
@@ -283,11 +289,42 @@ class LanguageFamily:
             )
         return best
 
-    def tail_set_literal(self, p: int) -> str | None:
-        """Decoded set literal when the index falls in the finite-set tail."""
-        if p < self.offset:
-            return None
-        return _set_literal(decode_finite_set(p - self.offset, self.universe))
+    def tail_set_literals(self, indices: Iterable[int]) -> list[str | None]:
+        """The decoded set literal of each index in the finite-set tail.
+
+        A special index gives ``None``. The first tail index decodes; every
+        later one patches the sorted ranks and tokens of the code before it,
+        one flipped bit at a time, so the consecutive indices of a trace cost
+        about their literal's length each.
+        """
+        offset, universe = self.offset, self.universe
+        literals: list[str | None] = []
+        code: int | None = None  # the last tail code rendered
+        ranks: list[int] = []  # its members, in rank order
+        tokens: list[str] = []
+        for p in indices:
+            if p < offset:
+                literals.append(None)
+                continue
+            new = p - offset
+            if code is None:
+                members = _by_rank(decode_finite_set(new, universe))
+                ranks = [a.rank for a in members]
+                tokens = [a.token for a in members]
+            else:
+                flips = new ^ code
+                while flips:
+                    rank = flips.bit_length() - 1
+                    flips ^= 1 << rank
+                    at = bisect_left(ranks, rank)
+                    if at < len(ranks) and ranks[at] == rank:
+                        del ranks[at], tokens[at]
+                    else:
+                        ranks.insert(at, rank)
+                        tokens.insert(at, universe.to_token(rank))
+            code = new
+            literals.append(_set_literal(tokens))
+        return literals
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,8 +361,8 @@ class AnnotationFamily:
     def compare_index_with(self, p: int, target: LanguageRepr) -> Equality:
         return self.base.compare_index_with(self._base_index(p), target)
 
-    def tail_set_literal(self, p: int) -> str | None:
-        return self.base.tail_set_literal(unpair(p)[0])
+    def tail_set_literals(self, indices: Iterable[int]) -> list[str | None]:
+        return self.base.tail_set_literals(unpair(p)[0] for p in indices)
 
 
 def resolve_language(spec: str, universe: Universe) -> LanguageRepr:

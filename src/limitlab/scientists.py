@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Artefact, Experience, canonical_experience, derived_rng, is_pause
+from .core import PAUSE, Experience, canonical_experience, derived_rng, is_pause
 from .families import (
     AnnotationFamily,
     LanguageFamily,
@@ -158,22 +158,16 @@ def confidence_annotating(
 def last_novel(fam: LanguageFamily) -> Scientist:
     """Singleton language of the most recent first-occurrence artefact.
 
-    Scans left to right for the last datum that was absent from everything
-    strictly before it; with no artefacts yet, conjectures the empty language.
+    The last datum that was absent from everything strictly before it: a
+    dict keeps each datum at its first occurrence, so that datum is the dict's
+    last artefact key. With no artefacts yet, conjectures the empty language.
     Order-sensitive by design.
     """
 
     def conjecture(sigma: Experience) -> int:
-        seen: set[Artefact] = set()
-        latest: Artefact | None = None
-        for d in sigma:
-            if is_pause(d):
-                continue
-            if d not in seen:
-                latest = d
-                seen.add(d)
-        members = () if latest is None else (latest,)
-        return fam.finite_index(members)
+        firsts = dict.fromkeys(sigma.items)
+        firsts.pop(PAUSE, None)
+        return fam.finite_index((next(reversed(firsts)),) if firsts else ())
 
     return Scientist(name="last_novel", family=fam, conjecture=conjecture)
 

@@ -3,8 +3,11 @@ replay-from-empty reference semantics for differential tests of fast paths."""
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from limitlab import (
     PAUSE,
+    AnnotationFamily,
     Equality,
     Experience,
     Fate,
@@ -17,6 +20,7 @@ from limitlab import (
     Universe,
     compare_languages,
     decimal_universe,
+    decode_finite_set,
     evens_language,
     fate_from_function,
     is_pause,
@@ -26,6 +30,7 @@ from limitlab import (
     registry_oracle,
     semantic_transformativeness,
     transformativeness,
+    unpair,
 )
 
 U = decimal_universe()
@@ -49,6 +54,15 @@ def exp(spec: str, universe: Universe = U) -> Experience:
 
 def art(rank: int, universe: Universe = U):
     return universe.artefact(rank)
+
+
+def experiences(max_rank=9, max_len=10):
+    """Hypothesis experiences over ranks up to ``max_rank``, pauses included."""
+    return st.lists(
+        st.one_of(st.none(), st.integers(0, max_rank)), max_size=max_len
+    ).map(
+        lambda xs: Experience(tuple(PAUSE if x is None else U.artefact(x) for x in xs))
+    )
 
 
 def plain_evens_text(universe: Universe = U) -> Fate:
@@ -144,3 +158,26 @@ def reference_confidence_conjecture(
                 b = base.conjecture(sigma[: i + 1])
                 c = initial
     return pair(b, pair(c, len(sigma)))
+
+
+def reference_last_novel(fam: LanguageFamily, sigma: Experience) -> int:
+    """The last-novel scientist as first written: one scan with a seen-set."""
+    seen: set = set()
+    latest = None
+    for d in sigma:
+        if is_pause(d):
+            continue
+        if d not in seen:
+            latest = d
+            seen.add(d)
+    return fam.finite_index(() if latest is None else (latest,))
+
+
+def reference_set_literal(family, p: int) -> str | None:
+    """One index's ``hyp_set``: decode the whole set code, sort by rank, join."""
+    if isinstance(family, AnnotationFamily):
+        family, p = family.base, unpair(p)[0]
+    if p < family.offset:
+        return None
+    members = sorted(decode_finite_set(p - family.offset, family.universe), key=lambda a: a.rank)
+    return "{" + ",".join(a.token for a in members) + "}"

@@ -283,6 +283,47 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
     assert len(outputs) == 1
 
 
+# The reader takes one line and leaves. "trace" and "identify" write far more
+# than a pipe buffer holds, so they are still writing then, one line per write.
+# "list" writes less than the stdout buffer holds into a pipe nobody reads, so
+# buffered, only the final flush meets the closed pipe.
+IDENTIFY_GRID = ("identify", "--scientist", "memorizer",
+                 "--languages", "{};{2,4};{3,5,7};evens;odds",
+                 "--strategies", "canonical;padded:0.25;shuffled-window:3;repetition-heavy",
+                 "--seeds", ";".join(map(str, range(100))))
+EARLY_CLOSE_ARGV = {
+    "trace": ("trace", "--horizon", "600", "--format", "jsonl"),
+    "identify": IDENTIFY_GRID,
+    "identify-csv": (*IDENTIFY_GRID, "--format", "csv"),
+    "list": ("list",),
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", EARLY_CLOSE_ARGV.values(), ids=EARLY_CLOSE_ARGV.keys())
+def test_reader_closing_the_pipe_early_exits_141_without_a_traceback(argv, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(limitlab.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    reads_a_line = argv != EARLY_CLOSE_ARGV["list"]
+    if not reads_a_line:
+        os.close(read_end)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "limitlab.cli", *argv],
+        env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+    )
+    os.close(write_end)
+    if reads_a_line:
+        with os.fdopen(read_end) as reader:
+            assert reader.readline()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == ""
+
+
 def test_theorems_broken_component_exits_one(monkeypatch, capsys):
     from limitlab import theorems
     from limitlab.scientists import SampledCheck

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import U, art, exp
+from helpers import U, art, exp, experiences
 from limitlab import (
     PAUSE,
     Artefact,
     Canonical,
     Experience,
     Padded,
+    Pause,
     RepetitionHeavy,
     ShuffledWindow,
     all_language,
@@ -33,14 +36,6 @@ EMPTY_LANG = finite_language(U, ())
 TWO_FOUR = finite_language(U, (art(2), art(4)))
 
 ALL_STRATEGIES = (Canonical(), Padded(0.25), ShuffledWindow(4), RepetitionHeavy(0.25))
-
-
-def experiences(max_rank=9, max_len=10):
-    return st.lists(
-        st.one_of(st.none(), st.integers(0, max_rank)), max_size=max_len
-    ).map(
-        lambda xs: Experience(tuple(PAUSE if x is None else U.artefact(x) for x in xs))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +60,22 @@ def test_content_matches_the_filtering_reference(sigma):
     content = sigma.content()
     assert type(content) is frozenset
     assert content == frozenset(d for d in sigma.items if not is_pause(d))
+
+
+# ---------------------------------------------------------------------------
+# the pause
+
+
+def test_pause_is_one_value_that_hashes_by_identity():
+    assert Pause() is PAUSE
+    assert repr(PAUSE) == "#"
+    assert type(PAUSE).__hash__ is object.__hash__ and type(PAUSE).__eq__ is object.__eq__
+    assert copy.copy(PAUSE) is PAUSE and copy.deepcopy(PAUSE) is PAUSE
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(PAUSE, protocol)) is PAUSE
+    assert copy.deepcopy(exp("# 2")).items[0] is PAUSE
+    assert is_pause(Pause()) and not is_pause(art(0))
+    assert exp("# 2 #").content() == {art(2)} and PAUSE not in exp("#").content()
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,27 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     U,
     art,
+    experiences,
     reference_compare_index_with,
     reference_semantic_equals,
+    reference_set_literal,
     standard_family,
 )
 from limitlab import (
     Equality,
+    Experience,
     IndeterminateError,
     LanguageFamily,
     LanguageRepr,
     NotInFamilyError,
     all_language,
+    build_scientist,
     compare_languages,
     decode_finite_set,
     encode_finite_set,
@@ -277,8 +281,80 @@ def test_annotation_family_ignores_the_note(b, k):
 def test_annotation_family_tail_literal_comes_from_base():
     wrapped = AnnotationFamily(FAM)
     p = pair(FAM.finite_index({art(2)}), 9)
-    assert wrapped.tail_set_literal(p) == "{2}"
-    assert wrapped.tail_set_literal(pair(0, 3)) is None
+    assert wrapped.tail_set_literals([p]) == ["{2}"]
+    assert wrapped.tail_set_literals([pair(0, 3)]) == [None]
+
+
+# ---------------------------------------------------------------------------
+# incremental set literals
+
+
+@st.composite
+def code_walks(draw):
+    """Set codes in a row: bit flips (up to a dozen at once), jumps, zero.
+
+    A ``None`` stands for index 0, a special in a family that has specials.
+    """
+    code = draw(st.one_of(st.just(0), st.integers(0, 2**70)))
+    codes = [code]
+    for _ in range(draw(st.integers(0, 12))):
+        move = draw(st.sampled_from(("flip", "flip", "flip", "jump", "zero", "special")))
+        if move == "flip":
+            for rank in draw(st.lists(st.integers(0, 90), max_size=12)):
+                code ^= 1 << rank
+        elif move == "jump":
+            code = draw(st.integers(0, 2**200))
+        elif move == "zero":
+            code = 0
+        codes.append(None if move == "special" else code)
+    return codes
+
+
+@pytest.mark.parametrize("fam", [FAM, LanguageFamily(LETTERS)], ids=["decimal", "letters"])
+@settings(max_examples=200)
+@given(codes=code_walks(), notes=st.lists(st.integers(0, 50), min_size=14, max_size=14))
+def test_tail_set_literals_match_per_index_decoding(fam, codes, notes):
+    indices = [0 if c is None else fam.offset + c for c in codes]
+    expected = [reference_set_literal(fam, p) for p in indices]
+    assert fam.tail_set_literals(indices) == expected
+    assert fam.tail_set_literals(iter(indices)) == expected
+    wrapped = AnnotationFamily(fam)
+    paired = [pair(p, k) for p, k in zip(indices, notes)]
+    assert wrapped.tail_set_literals(paired) == expected
+
+
+TRACE_SPECS = ("memorizer", "last_novel", "set_driven:last_novel", "enumeration",
+               "confidence_annotating:memorizer:1", "confidence_annotating:last_novel:2")
+
+
+@pytest.mark.parametrize("spec", TRACE_SPECS)
+@settings(max_examples=60)
+@given(sigma=experiences(max_rank=12, max_len=30))
+def test_tail_set_literals_match_along_scientist_traces(spec, sigma):
+    # Growing (memorizer), jumping (last_novel), dipping below the offset
+    # (enumeration) and paired (annotator) index sequences.
+    sci = build_scientist(spec, FAM)
+    indices = [sci.conjecture(Experience(sigma.items[:n])) for n in range(len(sigma) + 1)]
+    literals = sci.family.tail_set_literals(indices)
+    assert literals == [reference_set_literal(sci.family, p) for p in indices]
+
+
+def test_tail_set_literals_decode_only_the_first_tail_index(monkeypatch):
+    decoded = []
+
+    def counting_decode(code, universe):
+        decoded.append(code)
+        return decode_finite_set(code, universe)
+
+    monkeypatch.setattr(families, "decode_finite_set", counting_decode)
+    codes = [0, 1, 5, None, 4, 4 | 1 << 300, 1 << 300]  # None: the special at index 1
+    literals = FAM.tail_set_literals([1 if c is None else FAM.offset + c for c in codes])
+    assert literals == ["{}", "{0}", "{0,2}", None, "{2}", "{2,300}", "{300}"]
+    assert decoded == [0]
+    jump = (1 << 200) - 1  # two hundred bits flip at once
+    assert FAM.tail_set_literals([FAM.offset + 1, FAM.offset + jump]) == [
+        "{0}", reference_set_literal(FAM, FAM.offset + jump)]
+    assert decoded == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     U,
     art,
     exp,
+    experiences,
     plain_evens_text,
     reference_confidence_conjecture,
+    reference_last_novel,
     standard_family,
 )
 from limitlab import (
@@ -240,6 +243,12 @@ def test_last_novel_on_pause_only_experience():
 def test_last_novel_unchanged_when_repeating_the_novel_artefact():
     sci = last_novel(FAM)
     assert sci(exp("2 4")) == sci(exp("2 4 4"))
+
+
+@settings(max_examples=300)
+@given(experiences(max_rank=6, max_len=25))
+def test_last_novel_matches_the_scanning_reference(sigma):
+    assert last_novel(FAM).conjecture(sigma) == reference_last_novel(FAM, sigma)
 
 
 # ---------------------------------------------------------------------------
