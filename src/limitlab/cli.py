@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict
 from typing import Sequence
 
-from .core import STRATEGIES, UNIVERSES, Fate, TextStrategy, is_pause, make_fate
+from .core import STRATEGIES, UNIVERSES, TextStrategy, is_pause, make_fate
 from .families import LANGUAGES, LanguageFamily, family_from_config, resolve_language
 from .identification import identify_class, transformation_trace
 from .scientists import SCIENTISTS, Scientist, build_scientist
@@ -72,8 +72,14 @@ def _validate_seed(seed) -> int:
     return seed
 
 
+def _check_count(config: dict, key: str) -> None:
+    value = config[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
-    """Defaults, then the config file, then non-None flag overrides."""
+    """Defaults, then the config file (``DEFAULTS`` keys only), then non-None flag overrides."""
     config = dict(DEFAULTS)
     if path is not None:
         try:
@@ -86,15 +92,17 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"config {path!r} is not valid JSON: {err}") from err
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path!r} must hold a JSON object")
+        unknown = ", ".join(map(repr, sorted(set(loaded) - set(DEFAULTS))))
+        if unknown:
+            raise ConfigError(f"config {path!r} has unknown key(s) {unknown}")
         config.update(loaded)
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
     if "seed" in overrides and overrides["seed"] is not None:
         config["seeds"] = [overrides["seed"]]
-    horizon = config["horizon"]
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
+    _check_count(config, "horizon")
+    _check_count(config, "trials")
     for key in ("languages", "strategies", "seeds"):
         if not isinstance(config[key], list):
             raise ConfigError(f"{key} must be a list, got {config[key]!r}")
@@ -107,15 +115,13 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def build_family(config: dict) -> LanguageFamily:
+    """The ``family`` section, under the top-level universe."""
+    section = config["family"]
     try:
-        return family_from_config(
-            {
-                "universe": config["universe"],
-                "specials": config["family"].get("specials", []),
-                "registry_oracle": config["family"].get("registry_oracle", True),
-            }
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        if "universe" in section:
+            raise ValueError("family takes no 'universe' entry; universe is a top-level key")
+        return family_from_config({**section, "universe": config["universe"]})
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"bad family config: {err}") from err
 
 
@@ -123,7 +129,8 @@ def build_world(config: dict) -> tuple[LanguageFamily, Scientist]:
     family = build_family(config)
     try:
         scientist = build_scientist(config["scientist"], family)
-    except (TypeError, ValueError, LookupError) as err:
+    # RecursionError: a spec nested hundreds of levels deep.
+    except (TypeError, ValueError, LookupError, RecursionError) as err:
         raise ConfigError(f"bad scientist spec: {err}") from err
     return family, scientist
 
@@ -160,8 +167,9 @@ def cmd_trace(config: dict) -> int:
                 "semantically_transformative": step.semantically_transformative,
             }
         )
+    header = f"trace: {scientist.name} on {language.describe()} [{strategy}] seed={config['seed']}"
     try:
-        lines = _trace_lines(records, config["format"], scientist, fate)
+        lines = _trace_lines(records, config["format"], header)
     except ValueError as err:
         # Python refuses int-to-decimal conversions beyond a digit limit; the
         # lines are all formatted before any is written, so stdout stays empty.
@@ -176,9 +184,7 @@ def cmd_trace(config: dict) -> int:
     return 0
 
 
-def _trace_lines(
-    records: list, fmt: str, scientist: Scientist, fate: Fate
-) -> list[str]:
+def _trace_lines(records: list, fmt: str, header: str) -> list[str]:
     if fmt == "jsonl":
         return [_json_line(record) for record in records]
     if fmt == "csv":
@@ -187,8 +193,7 @@ def _trace_lines(
             for record in records
         ]
     lines = [
-        f"trace: {scientist.name} on {fate.descriptor['language']} "
-        f"[{fate.descriptor['strategy']}] seed={fate.descriptor['seed']}",
+        header,
         f"{'step':>4}  {'datum':>6}  {'hyp':>12}  {'set':<12}  chg  nov  tra  sem",
     ]
     for r in records:
@@ -239,11 +244,10 @@ def cmd_identify(config: dict) -> int:
 
 
 def cmd_theorems(config: dict) -> int:
-    trials = config["trials"]
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
-    items = run_theorem_suite(trials=trials, seed=config["seed"])
     fmt = config["format"]
+    if fmt == "csv":
+        raise ConfigError("theorems prints only jsonl or pretty, not csv")
+    items = run_theorem_suite(trials=config["trials"], seed=config["seed"])
     if fmt == "jsonl":
         for item in items:
             print(
@@ -343,21 +347,12 @@ def _split_list(raw: str | None) -> list[str] | None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "horizon": args.horizon,
-        "format": args.format,
-        "scientist": getattr(args, "scientist", None),
-        "language": getattr(args, "language", None),
-        "strategy": getattr(args, "strategy", None),
-        "languages": _split_list(getattr(args, "languages", None)),
-        "strategies": _split_list(getattr(args, "strategies", None)),
-        "trials": getattr(args, "trials", None),
-    }
-    seeds = _split_list(getattr(args, "seeds", None))
-    if seeds is not None:
+    overrides = {key: value for key, value in vars(args).items() if key in DEFAULTS}
+    for key in ("languages", "strategies", "seeds"):
+        overrides[key] = _split_list(overrides.get(key))
+    if overrides["seeds"] is not None:
         try:
-            overrides["seeds"] = [int(s) for s in seeds]
+            overrides["seeds"] = [int(s) for s in overrides["seeds"]]
         except ValueError:
             print(f"{PROG}: seeds must be integers", file=sys.stderr)
             return 2

@@ -209,13 +209,11 @@ class Fate:
 
     ``stream_factory`` returns a fresh infinite iterator on every call, so
     repeated reads of the same index always agree and fates stay observably
-    pure without shared mutable state. ``descriptor`` is the serializable
-    (language, strategy, seed) summary; the sequence itself is never stored.
+    pure without shared mutable state; the sequence itself is never stored.
     """
 
     stream_factory: Callable[[], Iterator[Datum]]
     platonic: "LanguageRepr | None" = None
-    descriptor: dict | None = None
 
     def at(self, n: int) -> Datum:
         if n < 0:
@@ -229,9 +227,7 @@ class Fate:
 
 
 def fate_from_function(
-    fn: Callable[[int], Datum],
-    platonic: "LanguageRepr | None" = None,
-    descriptor: dict | None = None,
+    fn: Callable[[int], Datum], platonic: "LanguageRepr | None" = None
 ) -> Fate:
     """Wrap an explicit index-to-datum function as a fate."""
 
@@ -241,7 +237,7 @@ def fate_from_function(
             yield fn(n)
             n += 1
 
-    return Fate(factory, platonic, descriptor)
+    return Fate(factory, platonic)
 
 
 def derived_rng(*parts) -> random.Random:
@@ -404,9 +400,4 @@ def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fa
     """
     if not isinstance(strategy, TextStrategy):
         raise TypeError(f"unknown text strategy: {strategy!r}")
-    descriptor = {
-        "language": lang.describe(),
-        "strategy": str(strategy),
-        "seed": seed,
-    }
-    return Fate(lambda: strategy.stream(lang, seed), lang, descriptor)
+    return Fate(lambda: strategy.stream(lang, seed), lang)

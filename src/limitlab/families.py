@@ -385,7 +385,11 @@ def family_from_config(config: Mapping) -> LanguageFamily:
     Keys: ``universe`` (registry name, default "decimal"), ``specials``
     (ordered registry names), ``registry_oracle`` (bool, default True:
     install the shipped distinctness facts for registered specials).
+    Any other key is an error.
     """
+    unknown = sorted(set(config) - {"universe", "specials", "registry_oracle"})
+    if unknown:
+        raise ValueError(f"family takes no {', '.join(map(repr, unknown))} entry")
     universe_name = config.get("universe", "decimal")
     if universe_name not in UNIVERSES:
         raise ValueError(f"unknown universe: {universe_name!r}")

@@ -87,18 +87,20 @@ class IdentificationVerdict:
         return f"{self.outcome.value}({self.reason})"
 
 
-def _hypothesis_trace(scientist: Scientist, fate: Fate, horizon: int) -> tuple:
+def _walk(scientist: Scientist, fate: Fate, horizon: int, ahead: int = 0) -> tuple:
+    """The fate's first ``horizon + ahead`` data, and the conjecture on each prefix ``data[:n]``.
+
+    The one prefix replay: every limit check reads its hypothesis sequence here.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    data = fate.prefix(horizon).items
-    return tuple(
-        scientist.conjecture(Experience(data[:n])) for n in range(horizon + 1)
-    )
+    data = fate.prefix(horizon + ahead).items
+    return data, tuple(scientist.conjecture(Experience(data[:n])) for n in range(len(data) + 1))
 
 
 def converges_at(scientist: Scientist, fate: Fate, horizon: int) -> ConvergenceReport:
     """Evaluate the scientist on every prefix up to the horizon."""
-    trace = _hypothesis_trace(scientist, fate, horizon)
+    _, trace = _walk(scientist, fate, horizon)
     last_change = None
     for n in range(1, horizon + 1):
         if trace[n] != trace[n - 1]:
@@ -215,13 +217,14 @@ def identify_class(
     """
     rows = []
     for lang in languages:
+        described = lang.describe()
         for strategy in strategies:
             for seed in seeds:
                 fate = make_fate(lang, strategy, seed)
                 verdict = identifies_text(scientist, fate, horizon)
                 rows.append(
                     ExperimentRow(
-                        language=lang.describe(),
+                        language=described,
                         strategy=str(strategy),
                         seed=seed,
                         horizon=horizon,
@@ -266,12 +269,7 @@ def transformation_trace(
     exactly as the schemas would compute them on ``Situation(scientist,
     data[:n])``.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    data = fate.prefix(horizon + 1).items
-    indices = tuple(
-        scientist.conjecture(Experience(data[:n])) for n in range(horizon + 2)
-    )
+    data, indices = _walk(scientist, fate, horizon, ahead=1)
     family = scientist.family
     seen: set = set()
     steps = []

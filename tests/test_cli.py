@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limitlab
 from helpers import U, art, exp, standard_family
@@ -387,6 +391,7 @@ def test_strategy_spec_forms_agree_and_round_trip(text, params):
         ("trace", "--strategy", "shuffled-window:2.0"),
         ("trace", "--strategy", "shuffled-window:99999999999999999999", "--horizon", "2"),
         ("trace", "--scientist", "confidence_annotating:confidence_annotating"),
+        ("theorems", "--format", "csv", "--trials", "1"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -463,6 +468,12 @@ def test_boolean_config_numbers_rejected(tmp_path, capsys, command, key):
         ("trace", b'{"scientist": {"name": "memorizer", "bogus": 1}}'),
         ("trace", b'{"family": {"registry_oracle": "no"}}'),
         ("trace", b'{"family": {"specials": "evens"}}'),
+        ("trace", b'{"horizn": 3}'),
+        ("identify", b'{"seed": 0, "Seeds": [1]}'),
+        ("trace", b'{"family": {"special": ["odds"]}}'),
+        ("trace", b'{"family": {"universe": "letters"}}'),
+        ("trace", b'{"family": ["evens"]}'),
+        ("theorems", b'{"trials": 0}'),
     ],
 )
 def test_malformed_config_values_exit_two(tmp_path, capsys, command, content):
@@ -472,6 +483,36 @@ def test_malformed_config_values_exit_two(tmp_path, capsys, command, content):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("limitlab: ")
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"horizn": 3}, "horizn"),
+        ({"horizon": 3, "Seeds": [1]}, "Seeds"),
+        ({"family": {"special": ["odds"]}}, "special"),
+        ({"family": {"universe": "letters"}}, "universe"),
+    ],
+)
+def test_misspelt_config_key_is_named(tmp_path, capsys, payload, key):
+    code, out, err = run(capsys, "trace", "--config", _write_config(tmp_path, payload))
+    assert code == 2
+    assert out == ""
+    assert f"'{key}'" in err
+
+
+def test_deeply_nested_scientist_spec_exits_two(tmp_path, capsys):
+    # Deep enough to exhaust the recursion limit while the spec is built, but
+    # shallow enough for json.load, which gives up at about 1000 levels.
+    spec = "memorizer"
+    for _ in range(600):
+        spec = {"name": "set_driven", "base": spec}
+    path = _write_config(tmp_path, {"scientist": spec, "horizon": 2})
+    code, out, err = run(capsys, "trace", "--config", path)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("limitlab: ")
+    assert "bad scientist spec" in err and "not valid JSON" not in err
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv", "pretty"])
@@ -489,3 +530,110 @@ def test_oversized_seed_rejected(capsys):
     code, _, err = run(capsys, "trace", "--seed", str(2**64))
     assert code == 2
     assert "64-bit" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every generated config runs or exits 2, without a traceback
+
+_LANGUAGE_SPECS = st.sampled_from(["evens", "odds", "{}", "{2,4}", "{1,2,3}"])
+_STRATEGY_SPECS = st.sampled_from(
+    [
+        "canonical",
+        "padded:0.25",
+        "shuffled-window:3",
+        "repetition-heavy:0.5",
+        {"name": "padded", "pause_density": 0.5},
+    ]
+)
+_SEEDS = st.integers(0, 2**64 - 1)
+_VALID_VALUES = {
+    "universe": st.sampled_from(["decimal", "letters"]),
+    "family": st.fixed_dictionaries(
+        {},
+        optional={
+            "specials": st.lists(st.sampled_from(["evens", "odds"]), max_size=2, unique=True),
+            "registry_oracle": st.booleans(),
+        },
+    ),
+    "scientist": st.recursive(
+        st.sampled_from(
+            [
+                "memorizer",
+                "ever_changing",
+                "last_novel",
+                "dumb_visionary:evens",
+                "enumeration",
+                "confidence_annotating:memorizer:3",
+                {"name": "enumeration", "class_order": [1, "{2}"]},
+            ]
+        ),
+        lambda base: st.fixed_dictionaries(
+            {"name": st.sampled_from(["set_driven", "confidence_annotating"]), "base": base}
+        ),
+        max_leaves=3,
+    ),
+    "language": _LANGUAGE_SPECS,
+    "languages": st.lists(_LANGUAGE_SPECS, max_size=3),
+    "strategy": _STRATEGY_SPECS,
+    "strategies": st.lists(_STRATEGY_SPECS, max_size=2),
+    "seed": _SEEDS,
+    "seeds": st.lists(_SEEDS, max_size=2),
+    "format": st.sampled_from(["jsonl", "csv", "pretty"]),
+}
+# Wrongly typed or out-of-range values, and misspelt keys.
+_FAULTS = {
+    "universe": st.sampled_from(["martian", 5]),
+    "family": st.sampled_from(
+        [["evens"], {"special": ["odds"]}, {"specials": "evens"}, {"universe": "letters"}]
+    ),
+    "scientist": st.sampled_from(["oracle_of_delphi", {"name": "memorizer", "bogus": 1}, 7]),
+    "language": st.sampled_from(["primes", 5, "{15000}"]),
+    "languages": st.sampled_from(["evens", [5]]),
+    "strategy": st.sampled_from(["padded:1.5", "zigzag", {"name": "canonical", "window": 2}]),
+    "strategies": st.sampled_from([None, ["zigzag"]]),
+    "seed": st.sampled_from([-1, 2**64, True, "0", 1.5]),
+    "seeds": st.sampled_from([0, [-1], ["0"]]),
+    "horizon": st.sampled_from([0, True, 2.5, "4"]),
+    "trials": st.sampled_from([0, False, 3.0]),
+    "format": st.just("yaml"),
+    "horizn": st.just(3),
+    "Seeds": st.just([1]),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A valid config with small work bounds, and up to two faults in it."""
+    config = draw(
+        st.fixed_dictionaries(
+            {"horizon": st.integers(1, 8), "trials": st.integers(1, 20)},
+            optional=_VALID_VALUES,
+        )
+    )
+    for key in draw(st.lists(st.sampled_from(sorted(_FAULTS)), max_size=2, unique=True)):
+        config[key] = draw(_FAULTS[key])
+    return config
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["trace", "identify", "theorems", "list"]),
+    config=_configs(),
+)
+def test_fuzzed_configs_run_or_exit_two_deterministically(tmp_path_factory, command, config):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [command, "--config", str(path)]
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("limitlab: ")
+    assert _run_in_process(argv) == (code, out, err)

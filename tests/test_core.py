@@ -267,15 +267,6 @@ def test_make_fate_rejects_a_non_strategy():
         make_fate(TWO_FOUR, "canonical")
 
 
-def test_descriptor_is_compact():
-    fate = make_fate(TWO_FOUR, Padded(0.25), seed=4)
-    assert fate.descriptor == {
-        "language": "{2,4}",
-        "strategy": "padded(0.25)",
-        "seed": 4,
-    }
-
-
 # ---------------------------------------------------------------------------
 # universes and serialization
 

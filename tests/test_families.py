@@ -389,6 +389,8 @@ def test_family_from_config_rejects_wrongly_typed_values():
         family_from_config({"specials": "evens"})
     with pytest.raises(ValueError, match="registry_oracle must be true or false"):
         family_from_config({"registry_oracle": "no"})
+    with pytest.raises(ValueError, match="family takes no 'special' entry"):
+        family_from_config({"special": ["odds"]})
 
 
 def test_registry_oracle_is_pairwise_not_equal():

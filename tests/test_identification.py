@@ -318,7 +318,10 @@ def test_trace_matches_replay_reference(name, language, strategy):
     fate = make_fate(DIFF_LANGUAGES[language], strategy, seed=5)
     horizon = 20
     expected = reference_transformation_trace(scientist, fate, horizon)
-    assert transformation_trace(scientist, fate, horizon) == expected
+    trace = transformation_trace(scientist, fate, horizon)
+    assert trace == expected
+    hyp_indices = tuple(step.hyp_index for step in trace.steps)
+    assert converges_at(scientist, fate, horizon).trace == hyp_indices
 
 
 @pytest.mark.parametrize("strategy", DIFF_STRATEGIES, ids=str)
