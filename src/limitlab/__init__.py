@@ -79,6 +79,7 @@ from .schemas import (
 )
 from .scientists import (
     SCIENTISTS,
+    Fold,
     SampledCheck,
     Scientist,
     build_scientist,

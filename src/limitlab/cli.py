@@ -287,20 +287,26 @@ def cmd_list(config: dict) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def _common_flags(default) -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False, argument_default=default)
     common.add_argument("--config", help="path to a JSON config document")
     common.add_argument("--seed", type=int, help="RNG seed (64-bit unsigned)")
     common.add_argument("--horizon", type=int, help="evaluation horizon (>= 1)")
     common.add_argument(
         "--format", choices=("jsonl", "csv", "pretty"), help="output format"
     )
+    return common
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="identification-in-the-limit experiments with rating schemas",
-        parents=[common],
+        parents=[_common_flags(None)],
     )
+    # A subcommand sets only the flags it is given, so a flag placed before
+    # the subcommand holds unless the subcommand repeats it.
+    common = _common_flags(argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trace = sub.add_parser(

@@ -56,8 +56,8 @@ class IndeterminateError(LookupError):
 
 
 def encode_finite_set(artefacts: Iterable[Artefact]) -> int:
-    """Bit-set code of a finite artefact set: sum of 2**rank over members."""
-    return sum(1 << a.rank for a in artefacts)
+    """Bit-set code of a finite artefact set: sum of 2**rank over the distinct member ranks."""
+    return sum(1 << rank for rank in {a.rank for a in artefacts})
 
 
 def decode_finite_set(code: int, universe: Universe) -> frozenset:

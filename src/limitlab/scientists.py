@@ -1,8 +1,13 @@
 """Scientists: deterministic total maps from experiences to hypothesis indices.
 
-Every builder returns a pure replay-from-empty function of the experience
-alone, so a scientist value can be shared and re-invoked freely. The registry
-at the bottom names each builder for configs and experiment sweeps.
+Most builders give a scientist as a ``Fold``, an incremental learner: a state
+value, a step per datum and an emit. Its ``conjecture`` keeps the last
+experience and state it saw, so a call on an extension steps only the new
+data, and any other call folds from the start. Either way the index is a
+function of the experience alone, so a scientist value can be shared and
+re-invoked freely. ``set_driven_wrapper``, ``enumeration_scientist`` and
+user-built scientists conjecture by replay. The registry at the bottom names
+each builder for configs and experiment sweeps.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import PAUSE, Experience, canonical_experience, derived_rng, is_pause
+from .core import PAUSE, Datum, Experience, canonical_experience, derived_rng
 from .families import (
     AnnotationFamily,
     LanguageFamily,
@@ -23,6 +28,7 @@ from .sampling import sample_experience, sample_same_content
 
 __all__ = [
     "SCIENTISTS",
+    "Fold",
     "SampledCheck",
     "Scientist",
     "build_scientist",
@@ -39,19 +45,73 @@ __all__ = [
 
 Family = LanguageFamily | AnnotationFamily
 
-_EMPTY = Experience()
+
+@dataclass(frozen=True, eq=False)
+class Fold:
+    """An incremental learner: the index on data d1..dn is ``emit(step(...step(init, d1)..., dn))``.
+
+    States are immutable values (ints, and tuples of values and functions),
+    so a state can be kept and stepped further without copying.
+    """
+
+    init: object
+    step: Callable[[object, Datum], object]
+    emit: Callable[[object], int]
+
+
+def _resumable(fold: Fold) -> Callable[[Experience], int]:
+    """``fold`` as a conjecture that resumes from the last experience it saw.
+
+    The one memo is ``(items, state)``, replaced whole: a call whose items
+    extend the memo's steps only the new data, any other folds from ``init``.
+    """
+    init, step, emit = fold.init, fold.step, fold.emit
+    memo = ((), init)
+
+    def conjecture(sigma: Experience) -> int:
+        nonlocal memo
+        items = sigma.items
+        seen, state = memo
+        n = len(seen)
+        if n > len(items) or items[:n] != seen:
+            n, state = 0, init
+        for d in items[n:]:
+            state = step(state, d)
+        memo = (items, state)
+        return emit(state)
+
+    return conjecture
 
 
 @dataclass(frozen=True, eq=False)
 class Scientist:
-    """A named total deterministic map from experiences to family indices."""
+    """A named total deterministic map from experiences to family indices.
+
+    Give either ``conjecture``, a replay function of the whole experience, or
+    ``fold``, from which ``conjecture`` is then derived.
+    """
 
     name: str
     family: Family
-    conjecture: Callable[[Experience], int]
+    conjecture: Callable[[Experience], int] | None = None
+    fold: Fold | None = None
+
+    def __post_init__(self) -> None:
+        if (self.conjecture is None) == (self.fold is None):
+            raise ValueError(f"scientist {self.name} needs exactly one of conjecture and fold")
+        if self.fold is not None:
+            object.__setattr__(self, "conjecture", _resumable(self.fold))
 
     def __call__(self, sigma: Experience) -> int:
         return self.conjecture(sigma)
+
+
+def _as_fold(scientist: Scientist) -> Fold:
+    """The scientist's fold, or a replay adapter: the state is the data, emit re-asks."""
+    if scientist.fold is not None:
+        return scientist.fold
+    conjecture = scientist.conjecture
+    return Fold((), lambda items, d: items + (d,), lambda items: conjecture(Experience(items)))
 
 
 def dumb_visionary(fam: LanguageFamily, lang: LanguageRepr) -> Scientist:
@@ -60,16 +120,22 @@ def dumb_visionary(fam: LanguageFamily, lang: LanguageRepr) -> Scientist:
     return Scientist(
         name=f"dumb_visionary({lang.describe()})",
         family=fam,
-        conjecture=lambda sigma: h,
+        fold=Fold(h, lambda h, d: h, lambda h: h),
     )
 
 
 def memorizer(fam: LanguageFamily) -> Scientist:
-    """Conjectures exactly the finite language of everything seen so far."""
+    """Conjectures exactly the finite language of everything seen so far.
+
+    The state is the set code of the content: one bit per rank seen.
+    """
+    offset = fam.offset
+
+    def step(code: int, d: Datum) -> int:
+        return code if d is PAUSE else code | 1 << d.rank
+
     return Scientist(
-        name="memorizer",
-        family=fam,
-        conjecture=lambda sigma: fam.finite_index(sigma.content()),
+        name="memorizer", family=fam, fold=Fold(0, step, lambda code: offset + code)
     )
 
 
@@ -101,7 +167,7 @@ def enumeration_scientist(fam: LanguageFamily, class_order: Sequence[int]) -> Sc
 def ever_changing(fam: Family) -> Scientist:
     """Outputs the experience length, so every extension moves the index."""
     return Scientist(
-        name="ever_changing", family=fam, conjecture=lambda sigma: len(sigma)
+        name="ever_changing", family=fam, fold=Fold(0, lambda n, d: n + 1, lambda n: n)
     )
 
 
@@ -110,14 +176,15 @@ def confidence_annotating(
 ) -> Scientist:
     """Tracks a base hypothesis with a confidence counter, annotated into the index.
 
-    Replaying the experience from empty: a datum inside the current base
-    language raises confidence by one, a datum outside lowers it by one, and
-    at zero the base hypothesis is re-asked on the data so far and confidence
-    resets. Pauses change nothing but the step count. The emitted index pairs
-    the base index with (confidence, step count), so it moves at every
-    extension while denoting whatever the base index denotes. The base must
-    conjecture in ``fam`` itself: the index of a nested annotator is a pair,
-    not an index of ``fam``.
+    Datum by datum: a datum inside the current base language raises confidence
+    by one, a datum outside lowers it by one, and at zero the base hypothesis
+    is re-asked on the data so far and confidence resets. Pauses change
+    nothing but the step count. The emitted index pairs the base index with
+    (confidence, step count), so it moves at every extension while denoting
+    whatever the base index denotes. The state carries the base's own state,
+    so a re-ask is the base's ``emit`` on state already at hand. The base
+    must conjecture in ``fam`` itself: the index of a nested annotator is a
+    pair, not an index of ``fam``.
     """
     if base.family is not fam:
         raise ValueError(
@@ -127,49 +194,59 @@ def confidence_annotating(
         raise ValueError(
             f"initial confidence must be >= 1, got {initial_confidence}"
         )
-    wrapped = AnnotationFamily(fam)
+    base_fold = _as_fold(base)
+    base_step, base_emit = base_fold.step, base_fold.emit
+    first = base_emit(base_fold.init)
 
-    def conjecture(sigma: Experience) -> int:
-        b = base.conjecture(_EMPTY)
-        contains = fam.language_of(b).contains
-        c = initial_confidence
-        for i, d in enumerate(sigma):
-            if is_pause(d):
-                continue
-            if contains(d):
-                c += 1
-            else:
-                c -= 1
-                if c == 0:
-                    reasked = base.conjecture(sigma[: i + 1])
-                    if reasked != b:
-                        b = reasked
-                        contains = fam.language_of(b).contains
-                    c = initial_confidence
-        return pair(b, pair(c, len(sigma)))
+    # State: (base state, base index, its language's contains, confidence, steps).
+    def step(state: tuple, d: Datum) -> tuple:
+        inner, b, contains, c, n = state
+        inner = base_step(inner, d)
+        if d is PAUSE:
+            pass
+        elif contains(d):
+            c += 1
+        elif c > 1:
+            c -= 1
+        else:
+            reasked = base_emit(inner)
+            if reasked != b:
+                b, contains = reasked, fam.language_of(reasked).contains
+            c = initial_confidence
+        return inner, b, contains, c, n + 1
 
+    def emit(state: tuple) -> int:
+        _, b, _, c, n = state
+        return pair(b, pair(c, n))
+
+    init = (base_fold.init, first, fam.language_of(first).contains, initial_confidence, 0)
     return Scientist(
         name=f"confidence_annotating({base.name},{initial_confidence})",
-        family=wrapped,
-        conjecture=conjecture,
+        family=AnnotationFamily(fam),
+        fold=Fold(init, step, emit),
     )
 
 
 def last_novel(fam: LanguageFamily) -> Scientist:
     """Singleton language of the most recent first-occurrence artefact.
 
-    The last datum that was absent from everything strictly before it: a
-    dict keeps each datum at its first occurrence, so that datum is the dict's
-    last artefact key. With no artefacts yet, conjectures the empty language.
-    Order-sensitive by design.
+    The last datum that was absent from everything strictly before it. The
+    state is the set code of the ranks seen and the code of that datum's
+    singleton (0, the empty language, while no artefact has come). Artefacts
+    are told apart by rank, as within one universe. Order-sensitive by design.
     """
+    offset = fam.offset
 
-    def conjecture(sigma: Experience) -> int:
-        firsts = dict.fromkeys(sigma.items)
-        firsts.pop(PAUSE, None)
-        return fam.finite_index((next(reversed(firsts)),) if firsts else ())
+    def step(state: tuple, d: Datum) -> tuple:
+        if d is PAUSE:
+            return state
+        seen, last = state
+        bit = 1 << d.rank
+        return state if seen & bit else (seen | bit, bit)
 
-    return Scientist(name="last_novel", family=fam, conjecture=conjecture)
+    return Scientist(
+        name="last_novel", family=fam, fold=Fold((0, 0), step, lambda state: offset + state[1])
+    )
 
 
 def set_driven_wrapper(base: Scientist) -> Scientist:

@@ -3,6 +3,8 @@ replay-from-empty reference semantics for differential tests of fast paths."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 from hypothesis import strategies as st
 
 from limitlab import (
@@ -18,6 +20,7 @@ from limitlab import (
     TraceStep,
     TransformationTrace,
     Universe,
+    canonical_experience,
     compare_languages,
     decimal_universe,
     decode_finite_set,
@@ -139,6 +142,51 @@ def reference_semantic_equals(family, p: int, q: int) -> Equality:
 
 def reference_compare_index_with(family, p: int, target: LanguageRepr) -> Equality:
     return compare_languages(family.language_of(p), target, family.oracle)
+
+
+def reference_memorizer(fam: LanguageFamily, sigma: Experience) -> int:
+    """The memorizer as first written: code the content of the whole experience."""
+    return fam.finite_index(sigma.content())
+
+
+def reference_conjecture(spec, fam: LanguageFamily) -> Callable[[Experience], int]:
+    """Replay-from-empty conjecture of a registry spec, built from the references alone.
+
+    ``spec`` is a registry name or a dict spec with default parameters, as in
+    ``build_scientist``, or a user ``Scientist``, which replays already.
+    """
+    if isinstance(spec, Scientist):
+        return spec.conjecture
+    params = dict(spec) if isinstance(spec, dict) else {"name": spec}
+    name = params.pop("name")
+    if name == "memorizer":
+        return lambda sigma: reference_memorizer(fam, sigma)
+    if name == "last_novel":
+        return lambda sigma: reference_last_novel(fam, sigma)
+    if name == "ever_changing":
+        return len
+    if name == "dumb_visionary":
+        h = fam.min_index_for(fam.specials[0])
+        return lambda sigma: h
+    if name == "enumeration":
+        order = (fam.finite_index(()),) + tuple(range(fam.offset))
+
+        def first_fit(sigma: Experience) -> int:
+            seen = sigma.content()
+            for p in order:
+                if all(fam.language_of(p).contains(a) for a in seen):
+                    return p
+            return reference_memorizer(fam, sigma)
+
+        return first_fit
+    if name == "set_driven":
+        inner = reference_conjecture(params.get("base", "last_novel"), fam)
+        return lambda sigma: inner(canonical_experience(sigma.content()))
+    if name == "confidence_annotating":
+        base = Scientist("reference", fam, reference_conjecture(params.get("base", "memorizer"), fam))
+        initial = params.get("initial_confidence", 3)
+        return lambda sigma: reference_confidence_conjecture(fam, base, initial, sigma)
+    raise ValueError(f"no reference for {name!r}")
 
 
 def reference_confidence_conjecture(

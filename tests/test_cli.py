@@ -412,6 +412,31 @@ def test_unknown_subcommand_is_a_usage_error():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--horizon", "3", "trace", "--format", "jsonl"],
+        ["trace", "--horizon", "3", "--format", "jsonl"],
+        ["--format", "jsonl", "--horizon", "3", "trace"],
+        ["--horizon", "9", "trace", "--horizon", "3", "--format", "jsonl"],
+    ],
+)
+def test_common_flags_hold_before_or_after_the_subcommand(capsys, argv):
+    # The subcommand's own flag wins when a flag is given in both places.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [json.loads(line)["step"] for line in out.splitlines()] == [0, 1, 2, 3]
+
+
+def test_common_flags_before_the_subcommand_are_checked(capsys):
+    code, out, err = run(capsys, "--horizon", "0", "trace")
+    assert (code, out) == (2, "")
+    assert "horizon" in err
+    code, _, err = run(capsys, "--config", "/nonexistent/config.json", "identify")
+    assert code == 2
+    assert "cannot read config" in err
+
+
 def test_unreadable_config_exits_two(capsys):
     code, _, err = run(capsys, "trace", "--config", "/nonexistent/config.json")
     assert code == 2

@@ -16,6 +16,7 @@ from helpers import (
     standard_family,
 )
 from limitlab import (
+    Artefact,
     Equality,
     Experience,
     IndeterminateError,
@@ -57,6 +58,13 @@ def finite(*ranks):
 def test_encode_matches_power_sum():
     assert encode_finite_set({art(2), art(4)}) == 2**2 + 2**4
     assert encode_finite_set(()) == 0
+
+
+def test_encode_sets_one_bit_per_distinct_rank():
+    # Artefacts from different universes may share a rank; a sum would carry.
+    clash = frozenset({Artefact("a", 0), Artefact("0", 0)})
+    assert encode_finite_set(clash) == 1
+    assert encode_finite_set([art(3), art(3), Artefact("d", 3), art(1)]) == 2**3 + 2**1
 
 
 def test_decode_zero_is_empty():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     U,
@@ -12,12 +16,18 @@ from helpers import (
     experiences,
     plain_evens_text,
     reference_confidence_conjecture,
+    reference_conjecture,
     reference_last_novel,
+    reference_memorizer,
     standard_family,
 )
 from limitlab import (
+    PAUSE,
     SCIENTISTS,
+    Artefact,
     Experience,
+    Fold,
+    Scientist,
     build_scientist,
     canonical_experience,
     confidence_annotating,
@@ -83,6 +93,12 @@ def test_memorizer_codes_the_content():
 def test_memorizer_is_set_driven_by_construction():
     m = memorizer(FAM)
     assert m(exp("2 4")) == m(exp("4 2 2"))
+
+
+def test_memorizer_codes_rank_clashes_like_the_replay():
+    # Two artefacts of one rank set one bit, in the fold and in the set code.
+    sigma = Experience((Artefact("a", 0), Artefact("0", 0), art(2)))
+    assert memorizer(FAM)(sigma) == reference_memorizer(FAM, sigma) == tail_index(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +354,128 @@ def test_same_content_sampler_preserves_content():
         sigma = sample_experience(rng, U)
         tau = sample_same_content(rng, sigma)
         assert tau.content() == sigma.content()
+
+
+# ---------------------------------------------------------------------------
+# folds: resuming from the last experience never changes an index
+
+
+def test_scientist_needs_exactly_one_of_conjecture_and_fold():
+    fold = Fold(0, lambda n, d: n + 1, lambda n: n)
+    with pytest.raises(ValueError, match="exactly one"):
+        Scientist("neither", FAM)
+    with pytest.raises(ValueError, match="exactly one"):
+        Scientist("both", FAM, conjecture=len, fold=fold)
+
+
+def test_fold_conjecture_steps_only_the_new_data_of_an_extension():
+    stepped = []
+
+    def step(n, d):
+        stepped.append(d)
+        return n + 1
+
+    sci = Scientist("counting", FAM, fold=Fold(0, step, lambda n: n))
+    assert sci(exp("2 4")) == 2 and stepped == [art(2), art(4)]
+    stepped.clear()
+    assert sci(exp("2 4 # 6")) == 4 and stepped == [PAUSE, art(6)]
+    stepped.clear()
+    assert sci(exp("2 4 # 6")) == 4 and stepped == []
+    assert sci(exp("2 5")) == 2 and stepped == [art(2), art(5)]
+
+
+def _user_scientist():
+    # A plain replay scientist that churns between two finite languages.
+    return Scientist("flip", FAM, lambda sigma: tail_index(len(sigma) // 3 % 2))
+
+
+# Every registered scientist with its defaults, wrappers nested two deep, an
+# annotator over set_driven and one over a user scientist.
+DIFFERENTIAL_SPECS = sorted(SCIENTISTS) + [
+    {"name": "set_driven", "base": {"name": "set_driven", "base": "memorizer"}},
+    {"name": "set_driven", "base": {"name": "confidence_annotating", "base": "last_novel",
+                                    "initial_confidence": 1}},
+    {"name": "confidence_annotating", "base": {"name": "set_driven", "base": "last_novel"},
+     "initial_confidence": 2},
+    {"name": "confidence_annotating", "base": "enumeration", "initial_confidence": 1},
+    {"name": "confidence_annotating", "base": "dumb_visionary", "initial_confidence": 2},
+    {"name": "confidence_annotating", "base": "ever_changing", "initial_confidence": 1},
+    "user",
+    "annotated user",
+]
+
+
+def _scientist_and_reference(spec):
+    if spec == "user":
+        user = _user_scientist()
+        return user, reference_conjecture(user, FAM)
+    if spec == "annotated user":
+        user = _user_scientist()
+        return confidence_annotating(FAM, user, 1), lambda sigma: reference_confidence_conjecture(
+            FAM, user, 1, sigma
+        )
+    return build_scientist(spec, FAM), reference_conjecture(spec, FAM)
+
+
+DATUM = st.one_of(st.none(), st.integers(0, 6)).map(lambda r: PAUSE if r is None else art(r))
+CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("extend"), DATUM),
+        st.tuples(st.just("swap last"), DATUM),
+        st.tuples(st.just("truncate"), st.integers(0, 12)),
+        st.tuples(st.just("repeat"), st.none()),
+        st.tuples(st.just("unrelated"), experiences(max_rank=6, max_len=8)),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(calls=CALLS)
+def test_every_scientist_agrees_with_replay_over_any_call_sequence(spec, calls):
+    sci, reference = _scientist_and_reference(spec)
+    items: tuple = ()
+    for kind, arg in calls:
+        if kind == "extend":
+            items = items + (arg,)
+        elif kind == "swap last":
+            items = items[:-1] + (arg,)
+        elif kind == "truncate":
+            items = items[:arg]
+        elif kind == "repeat":
+            items = tuple(list(items))  # equal data in a new tuple
+        else:
+            items = arg.items
+        sigma = Experience(items)
+        assert sci.conjecture(sigma) == reference(sigma), (kind, sigma)
+
+
+def test_a_fold_scientist_shared_by_threads_stays_exact():
+    # Four threads walk the prefixes of their own texts through one scientist,
+    # so each call may find the memo of another thread's experience.
+    spec = {"name": "confidence_annotating", "initial_confidence": 2}
+    sci, reference = build_scientist(spec, FAM), reference_conjecture(spec, FAM)
+    rng = derived_rng("threads")
+    texts = [tuple(art(rng.randrange(10)) for _ in range(60)) for _ in range(4)]
+    expected = [[reference(Experience(t[:n])) for n in range(len(t) + 1)] for t in texts]
+    got: list = [None] * len(texts)
+
+    def walk(k: int) -> None:
+        got[k] = [sci(Experience(texts[k][:n])) for _ in range(5) for n in range(len(texts[k]) + 1)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(len(texts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [e * 5 for e in expected]
 
 
 # ---------------------------------------------------------------------------
