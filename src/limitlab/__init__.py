@@ -60,7 +60,6 @@ from .identification import (
     IdentificationVerdict,
     Outcome,
     TraceStep,
-    TransformationTrace,
     bc_converges_at,
     converges_at,
     identifies_text,

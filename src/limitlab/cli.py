@@ -41,6 +41,7 @@ DEFAULTS: dict = {
 }
 
 _MAX_SEED = 2**64 - 1
+_MAX_HORIZON = sys.maxsize - 1  # a trace streams horizon + 1 data, and islice stops at sys.maxsize
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
@@ -72,10 +73,12 @@ def _validate_seed(seed) -> int:
     return seed
 
 
-def _check_count(config: dict, key: str) -> None:
+def _check_count(config: dict, key: str, most: int | None = None) -> None:
     value = config[key]
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"{key} must be at most {most}, got {value}")
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -101,7 +104,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
             config[key] = value
     if "seed" in overrides and overrides["seed"] is not None:
         config["seeds"] = [overrides["seed"]]
-    _check_count(config, "horizon")
+    _check_count(config, "horizon", _MAX_HORIZON)
     _check_count(config, "trials")
     for key in ("languages", "strategies", "seeds"):
         if not isinstance(config[key], list):
@@ -151,10 +154,10 @@ def cmd_trace(config: dict) -> int:
     (language,) = _resolve_languages([config["language"]], family)
     strategy = parse_strategy(config["strategy"])
     fate = make_fate(language, strategy, config["seed"])
-    trace = transformation_trace(scientist, fate, config["horizon"])
-    hyp_sets = scientist.family.tail_set_literals(step.hyp_index for step in trace.steps)
+    steps = transformation_trace(scientist, fate, config["horizon"])
+    hyp_sets = scientist.family.tail_set_literals(step.hyp_index for step in steps)
     records = []
-    for step, hyp_set in zip(trace.steps, hyp_sets):
+    for step, hyp_set in zip(steps, hyp_sets):
         records.append(
             {
                 "step": step.step,

@@ -102,12 +102,15 @@ class Universe:
     from_token: Callable[[str], int]
 
     def artefact(self, rank: int) -> Artefact:
-        if rank < 0:
-            raise ValueError(f"universe rank must be >= 0, got {rank}")
+        # A set code cannot hold a bit past sys.maxsize (``1 << rank`` overflows).
+        if not 0 <= rank <= sys.maxsize:
+            raise ValueError(f"universe rank must be from 0 to {sys.maxsize}, got {rank}")
         return Artefact(self.to_token(rank), rank)
 
     def parse(self, token: str) -> Artefact:
-        return Artefact(token, self.from_token(token))
+        rank = self.from_token(token)
+        self.artefact(rank)  # the same range check
+        return Artefact(token, rank)
 
 
 def decimal_universe() -> Universe:

@@ -256,8 +256,6 @@ class LanguageFamily:
         return self.compare_index_with(high, self.language_of(low))
 
     def compare_index_with(self, p: int, target: LanguageRepr) -> Equality:
-        if p >= self.offset and target.size is None:
-            return Equality.NOT_EQUAL  # a finite tail set against an infinite target
         return compare_languages(self.language_of(p), target, self.oracle)
 
     def min_index_for(self, target: LanguageRepr) -> int:

@@ -26,7 +26,6 @@ __all__ = [
     "IdentificationVerdict",
     "Outcome",
     "TraceStep",
-    "TransformationTrace",
     "bc_converges_at",
     "converges_at",
     "identifies_text",
@@ -121,6 +120,21 @@ def _require_platonic(fate: Fate) -> LanguageRepr:
     return fate.platonic
 
 
+def _verdict(
+    final: Equality, report: ConvergenceReport, settle: int | None = None
+) -> IdentificationVerdict:
+    """The verdict from the final index's comparison with the platonic language.
+
+    ``settle`` is the first step of the closing run of provably-equal indices;
+    only an identified verdict carries it.
+    """
+    if final is Equality.EQUAL:
+        return IdentificationVerdict(Outcome.IDENTIFIED, None, report, settle)
+    if final is Equality.NOT_EQUAL:
+        return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "wrong-language", report)
+    return IdentificationVerdict(Outcome.INDETERMINATE, "equality-unknown", report)
+
+
 def identifies_text(
     scientist: Scientist, fate: Fate, horizon: int
 ) -> IdentificationVerdict:
@@ -129,12 +143,7 @@ def identifies_text(
     report = converges_at(scientist, fate, horizon)
     if not report.stabilized:
         return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "no-stabilization", report)
-    verdict = scientist.family.compare_index_with(report.stabilized_index, platonic)
-    if verdict is Equality.EQUAL:
-        return IdentificationVerdict(Outcome.IDENTIFIED, None, report)
-    if verdict is Equality.NOT_EQUAL:
-        return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "wrong-language", report)
-    return IdentificationVerdict(Outcome.INDETERMINATE, "equality-unknown", report)
+    return _verdict(scientist.family.compare_index_with(report.stabilized_index, platonic), report)
 
 
 def bc_converges_at(
@@ -143,25 +152,23 @@ def bc_converges_at(
     """Behaviourally correct check: the denoted language must settle, indices may churn.
 
     Identified iff some step starts an unbroken run of provably-equal
-    comparisons against the platonic language that reaches the horizon.
+    comparisons against the platonic language that reaches the horizon. The
+    final index decides the outcome; an EQUAL one is followed back while each
+    index denotes what its successor does (decode-free for tail indices).
     """
     platonic = _require_platonic(fate)
     report = converges_at(scientist, fate, horizon)
-    comparisons = [
-        scientist.family.compare_index_with(p, platonic) for p in report.trace
-    ]
-    settle = horizon + 1
-    for n in range(horizon, -1, -1):
-        if comparisons[n] is not Equality.EQUAL:
+    family, trace = scientist.family, report.trace
+    final = family.compare_index_with(trace[horizon], platonic)
+    settle = horizon
+    while final is Equality.EQUAL and settle:
+        same = family.semantic_equals(trace[settle - 1], trace[settle])
+        if same is Equality.UNKNOWN:
+            same = family.compare_index_with(trace[settle - 1], platonic)
+        if same is not Equality.EQUAL:
             break
-        settle = n
-    if settle <= horizon:
-        return IdentificationVerdict(
-            Outcome.IDENTIFIED, None, report, semantic_settle_step=settle
-        )
-    if comparisons[-1] is Equality.UNKNOWN:
-        return IdentificationVerdict(Outcome.INDETERMINATE, "equality-unknown", report)
-    return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "wrong-language", report)
+        settle -= 1
+    return _verdict(final, report, settle)
 
 
 @dataclass(frozen=True)
@@ -253,15 +260,10 @@ class TraceStep:
     semantically_transformative: Verdict | None
 
 
-@dataclass(frozen=True)
-class TransformationTrace:
-    steps: tuple
-
-
 def transformation_trace(
     scientist: Scientist, fate: Fate, horizon: int
-) -> TransformationTrace:
-    """Sweep novelty and transformativeness along the fate, step by step.
+) -> tuple:
+    """Sweep novelty and transformativeness along the fate: one ``TraceStep`` per step 0..horizon.
 
     Each prefix is conjectured once. The step's datum is the artefact appended
     to ``data[:n]``, so its flags follow from the adjacent conjectures
@@ -294,4 +296,4 @@ def transformation_trace(
                 semantically_transformative=semantic,
             )
         )
-    return TransformationTrace(steps=tuple(steps))
+    return tuple(steps)

@@ -13,15 +13,17 @@ from limitlab import (
     Equality,
     Experience,
     Fate,
+    IdentificationVerdict,
     LanguageFamily,
     LanguageRepr,
+    Outcome,
     Scientist,
     Situation,
     TraceStep,
-    TransformationTrace,
     Universe,
     canonical_experience,
     compare_languages,
+    converges_at,
     decimal_universe,
     decode_finite_set,
     evens_language,
@@ -31,6 +33,7 @@ from limitlab import (
     odds_language,
     pair,
     registry_oracle,
+    resolve_language,
     semantic_transformativeness,
     transformativeness,
     unpair,
@@ -111,7 +114,7 @@ def pair_swapped_evens_text(universe: Universe = U) -> Fate:
 
 def reference_transformation_trace(
     scientist: Scientist, fate: Fate, horizon: int
-) -> TransformationTrace:
+) -> tuple:
     """Every flag from the schemas themselves, on a fresh situation per step."""
     data = fate.prefix(horizon + 1).items
     steps = []
@@ -130,7 +133,44 @@ def reference_transformation_trace(
                 semantic_transformativeness(datum, situation),
             )
         steps.append(TraceStep(n, datum, before, before != after, *flags))
-    return TransformationTrace(steps=tuple(steps))
+    return tuple(steps)
+
+
+def reference_identifies_text(
+    scientist: Scientist, fate: Fate, horizon: int
+) -> IdentificationVerdict:
+    """Identification as first written: its own mapping of the final comparison."""
+    report = converges_at(scientist, fate, horizon)
+    if not report.stabilized:
+        return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "no-stabilization", report)
+    verdict = reference_compare_index_with(scientist.family, report.stabilized_index, fate.platonic)
+    if verdict is Equality.EQUAL:
+        return IdentificationVerdict(Outcome.IDENTIFIED, None, report)
+    if verdict is Equality.NOT_EQUAL:
+        return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "wrong-language", report)
+    return IdentificationVerdict(Outcome.INDETERMINATE, "equality-unknown", report)
+
+
+def reference_bc_converges_at(
+    scientist: Scientist, fate: Fate, horizon: int
+) -> IdentificationVerdict:
+    """Behaviourally correct identification as first written: compare every index."""
+    report = converges_at(scientist, fate, horizon)
+    comparisons = [
+        reference_compare_index_with(scientist.family, p, fate.platonic) for p in report.trace
+    ]
+    settle = horizon + 1
+    for n in range(horizon, -1, -1):
+        if comparisons[n] is not Equality.EQUAL:
+            break
+        settle = n
+    if settle <= horizon:
+        return IdentificationVerdict(
+            Outcome.IDENTIFIED, None, report, semantic_settle_step=settle
+        )
+    if comparisons[-1] is Equality.UNKNOWN:
+        return IdentificationVerdict(Outcome.INDETERMINATE, "equality-unknown", report)
+    return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "wrong-language", report)
 
 
 def reference_semantic_equals(family, p: int, q: int) -> Equality:
@@ -152,12 +192,21 @@ def reference_memorizer(fam: LanguageFamily, sigma: Experience) -> int:
 def reference_conjecture(spec, fam: LanguageFamily) -> Callable[[Experience], int]:
     """Replay-from-empty conjecture of a registry spec, built from the references alone.
 
-    ``spec`` is a registry name or a dict spec with default parameters, as in
-    ``build_scientist``, or a user ``Scientist``, which replays already.
+    ``spec`` is a registry name, a ``dumb_visionary:<language>`` string or a
+    dict spec, as in ``build_scientist``, or a user ``Scientist``, which
+    replays already.
     """
     if isinstance(spec, Scientist):
         return spec.conjecture
-    params = dict(spec) if isinstance(spec, dict) else {"name": spec}
+    if isinstance(spec, str):
+        name, _, language = spec.partition(":")
+        params = {"name": name}
+        if language:
+            if name != "dumb_visionary":
+                raise ValueError(f"no reference for the string spec {spec!r}; use a dict")
+            params["language"] = language
+    else:
+        params = dict(spec)
     name = params.pop("name")
     if name == "memorizer":
         return lambda sigma: reference_memorizer(fam, sigma)
@@ -166,10 +215,19 @@ def reference_conjecture(spec, fam: LanguageFamily) -> Callable[[Experience], in
     if name == "ever_changing":
         return len
     if name == "dumb_visionary":
-        h = fam.min_index_for(fam.specials[0])
+        language = params.get("language")
+        target = fam.specials[0] if language is None else resolve_language(language, fam.universe)
+        h = fam.min_index_for(target)
         return lambda sigma: h
     if name == "enumeration":
-        order = (fam.finite_index(()),) + tuple(range(fam.offset))
+        specs = params.get("class_order")
+        if specs is None:
+            order = (fam.finite_index(()),) + tuple(range(fam.offset))
+        else:
+            order = tuple(
+                fam.min_index_for(resolve_language(s, fam.universe)) if isinstance(s, str) else s
+                for s in specs
+            )
 
         def first_fit(sigma: Experience) -> int:
             seen = sigma.content()

@@ -392,12 +392,20 @@ def test_strategy_spec_forms_agree_and_round_trip(text, params):
         ("trace", "--strategy", "shuffled-window:99999999999999999999", "--horizon", "2"),
         ("trace", "--scientist", "confidence_annotating:confidence_annotating"),
         ("theorems", "--format", "csv", "--trials", "1"),
+        # Past sys.maxsize - 1: islice cannot stream horizon + 1 data.
+        ("trace", "--horizon", "100000000000000000000"),
+        ("identify", "--horizon", "100000000000000000000"),
+        # A rank past sys.maxsize cannot be a set-code bit.
+        ("trace", "--language", "{99999999999999999999}", "--horizon", "2"),
+        ("identify", "--languages", "{99999999999999999999}", "--horizon", "2"),
+        ("trace", "--scientist", "dumb_visionary:{99999999999999999999}", "--horizon", "2"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert err.strip()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("limitlab: ")
 
 
 def test_bad_format_flag_is_a_usage_error(capsys):
@@ -540,6 +548,15 @@ def test_deeply_nested_scientist_spec_exits_two(tmp_path, capsys):
     assert "bad scientist spec" in err and "not valid JSON" not in err
 
 
+def test_letters_token_ranked_past_maxsize_exits_two(tmp_path, capsys):
+    # "z" * 14 has rank 6.7e19, past sys.maxsize.
+    path = _write_config(tmp_path, {"universe": "letters", "language": "{" + "z" * 14 + "}"})
+    code, out, err = run(capsys, "trace", "--config", path, "--horizon", "2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "universe rank" in err
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv", "pretty"])
 def test_trace_index_too_large_to_print_exits_two(capsys, fmt):
     code, out, err = run(
@@ -612,13 +629,13 @@ _FAULTS = {
         [["evens"], {"special": ["odds"]}, {"specials": "evens"}, {"universe": "letters"}]
     ),
     "scientist": st.sampled_from(["oracle_of_delphi", {"name": "memorizer", "bogus": 1}, 7]),
-    "language": st.sampled_from(["primes", 5, "{15000}"]),
+    "language": st.sampled_from(["primes", 5, "{15000}", "{99999999999999999999}"]),
     "languages": st.sampled_from(["evens", [5]]),
     "strategy": st.sampled_from(["padded:1.5", "zigzag", {"name": "canonical", "window": 2}]),
     "strategies": st.sampled_from([None, ["zigzag"]]),
     "seed": st.sampled_from([-1, 2**64, True, "0", 1.5]),
     "seeds": st.sampled_from([0, [-1], ["0"]]),
-    "horizon": st.sampled_from([0, True, 2.5, "4"]),
+    "horizon": st.sampled_from([0, True, 2.5, "4", 10**20]),
     "trials": st.sampled_from([0, False, 3.0]),
     "format": st.just("yaml"),
     "horizn": st.just(3),

@@ -29,6 +29,7 @@ from limitlab import (
     is_pause,
     letters_universe,
     make_fate,
+    resolve_language,
 )
 
 EVENS = evens_language(U)
@@ -280,6 +281,21 @@ def test_universe_rank_bijection(universe):
         assert universe.parse(a.token) == a
         tokens.add(a.token)
     assert len(tokens) == 200
+
+
+@pytest.mark.parametrize(
+    "universe, token", [(decimal_universe(), "99999999999999999999"), (letters_universe(), "z" * 14)]
+)
+def test_ranks_past_maxsize_are_rejected(universe, token):
+    # Both tokens rank past sys.maxsize, so no set code could give them a bit.
+    with pytest.raises(ValueError, match="universe rank"):
+        universe.parse(token)
+    with pytest.raises(ValueError, match="universe rank"):
+        experience_from_tokens(["#", token], universe)
+    with pytest.raises(ValueError, match="universe rank"):
+        resolve_language("{" + token + "}", universe)
+    with pytest.raises(ValueError, match="universe rank"):
+        universe.artefact(sys.maxsize + 1)
 
 
 def test_pause_token_is_reserved():

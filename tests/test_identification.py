@@ -13,6 +13,8 @@ from helpers import (
     padded_repeats_evens_text,
     pair_swapped_evens_text,
     plain_evens_text,
+    reference_bc_converges_at,
+    reference_identifies_text,
     reference_transformation_trace,
     standard_family,
 )
@@ -20,6 +22,8 @@ from limitlab import (
     INDETERMINATE,
     SCIENTISTS,
     Canonical,
+    Equality,
+    LanguageFamily,
     Outcome,
     Padded,
     RepetitionHeavy,
@@ -51,6 +55,9 @@ ODDS = FAM.specials[1]
 
 def finite(*ranks):
     return finite_language(U, tuple(art(r) for r in ranks))
+
+
+DIFF_STRATEGIES = (Canonical(), Padded(0.3), ShuffledWindow(3), RepetitionHeavy(0.4))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +198,108 @@ def test_bc_without_oracle_is_indeterminate():
 
 
 # ---------------------------------------------------------------------------
+# verdicts against the compare-every-index references
+
+VERDICT_LANGUAGES = {"evens": EVENS, "odds": ODDS, "{}": finite(), "{1,2,5,8}": finite(1, 2, 5, 8)}
+
+
+def _assert_verdicts_match_references(scientist, fate, horizon):
+    bc = bc_converges_at(scientist, fate, horizon)
+    assert bc == reference_bc_converges_at(scientist, fate, horizon)
+    assert identifies_text(scientist, fate, horizon) == reference_identifies_text(
+        scientist, fate, horizon
+    )
+    return bc
+
+
+@pytest.mark.parametrize("name", sorted(SCIENTISTS))
+@pytest.mark.parametrize("language", sorted(VERDICT_LANGUAGES))
+@pytest.mark.parametrize("strategy", DIFF_STRATEGIES, ids=str)
+def test_verdicts_match_the_compare_every_index_references(name, language, strategy):
+    scientist = build_scientist(name, FAM)
+    fate = make_fate(VERDICT_LANGUAGES[language], strategy, seed=4)
+    for horizon in (1, 2, 7, 24):
+        _assert_verdicts_match_references(scientist, fate, horizon)
+
+
+@pytest.mark.parametrize(
+    "oracle, scientist, language, horizon, outcome, settle",
+    [
+        # The final comparison is UNKNOWN: no oracle tells evens from odds.
+        (False, "visionary", "odds", 12, Outcome.INDETERMINATE, None),
+        (False, "late", "evens", 4, Outcome.INDETERMINATE, None),
+        # Settled from step 0, mid-run, and only at the horizon.
+        (True, "visionary", "evens", 12, Outcome.IDENTIFIED, 0),
+        (True, "memorizer", "{1,2,5,8}", 12, Outcome.IDENTIFIED, 4),
+        (True, "memorizer", "{1,2,5,8}", 4, Outcome.IDENTIFIED, 4),
+        (False, "late", "evens", 5, Outcome.IDENTIFIED, 5),
+        (False, "late", "evens", 9, Outcome.IDENTIFIED, 5),
+        (True, "late", "evens", 3, Outcome.NOT_IDENTIFIED, None),
+    ],
+)
+def test_bc_settle_steps_and_undecided_finals_match_the_reference(
+    oracle, scientist, language, horizon, outcome, settle
+):
+    family = standard_family(oracle=oracle)
+    sci = {
+        "visionary": dumb_visionary(family, family.specials[0]),
+        "memorizer": memorizer(family),
+        # Odds (index 1) on prefixes shorter than 5, evens (index 0) from then on.
+        "late": Scientist("late", family, lambda sigma: int(len(sigma) < 5)),
+    }[scientist]
+    fate = make_fate(VERDICT_LANGUAGES[language], Canonical())
+    verdict = _assert_verdicts_match_references(sci, fate, horizon)
+    assert verdict.outcome is outcome
+    assert verdict.semantic_settle_step == settle
+
+
+@pytest.mark.parametrize("name", ["memorizer", "last_novel", "ever_changing", "set_driven",
+                                  "confidence_annotating"])
+def test_bc_compares_a_finite_final_index_with_an_infinite_language_once(monkeypatch, name):
+    calls = []
+    compare = LanguageFamily.compare_index_with
+
+    def counting(self, p, target):
+        calls.append(p)
+        return compare(self, p, target)
+
+    monkeypatch.setattr(LanguageFamily, "compare_index_with", counting)
+    scientist = build_scientist(name, FAM)
+    verdict = bc_converges_at(scientist, plain_evens_text(), 24)
+    assert verdict.label() == "NotIdentified(wrong-language)"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("annotated", [False, True])
+def test_bc_walks_a_settled_run_of_tail_indices_back_without_comparing(monkeypatch, annotated):
+    calls = []
+    compare = LanguageFamily.compare_index_with
+
+    def counting(self, p, target):
+        calls.append(p)
+        return compare(self, p, target)
+
+    scientist = memorizer(FAM)
+    if annotated:  # a new index on every step, all denoting the memorizer's set
+        scientist = confidence_annotating(FAM, scientist, 3)
+    fate = make_fate(finite(2, 4), Canonical())
+    reference = reference_bc_converges_at(scientist, fate, 24)
+    monkeypatch.setattr(LanguageFamily, "compare_index_with", counting)
+    verdict = bc_converges_at(scientist, fate, 24)
+    assert verdict == reference
+    assert verdict.semantic_settle_step == 2 + annotated
+    assert len(calls) == 1
+
+
+def test_bc_walk_back_compares_with_the_platonic_when_sameness_is_unknown(monkeypatch):
+    monkeypatch.setattr(LanguageFamily, "semantic_equals", lambda self, p, q: Equality.UNKNOWN)
+    fate = make_fate(finite(1, 2, 5, 8), Canonical())
+    verdict = bc_converges_at(memorizer(FAM), fate, 12)
+    assert verdict == reference_bc_converges_at(memorizer(FAM), fate, 12)
+    assert verdict.semantic_settle_step == 4
+
+
+# ---------------------------------------------------------------------------
 # class experiments
 
 
@@ -253,7 +362,7 @@ def test_table_csv_shape():
 def test_visionary_trace_is_never_transformative():
     trace = transformation_trace(dumb_visionary(FAM, EVENS), plain_evens_text(), 6)
     firsts = set()
-    for step in trace.steps:
+    for step in trace:
         assert step.transformative == 0
         expected_novel = int(step.datum not in firsts)
         assert step.novel == expected_novel
@@ -262,15 +371,15 @@ def test_visionary_trace_is_never_transformative():
 
 def test_ever_changing_trace_is_always_transformative():
     trace = transformation_trace(ever_changing(FAM), plain_evens_text(), 6)
-    assert all(step.transformative == 1 for step in trace.steps)
-    assert all(step.hyp_changed for step in trace.steps)
+    assert all(step.transformative == 1 for step in trace)
+    assert all(step.hyp_changed for step in trace)
 
 
 def test_memorizer_trace_flags_first_occurrences_only():
     trace = transformation_trace(memorizer(FAM), padded_repeats_evens_text(), 5)
-    transformative_steps = [s.step for s in trace.steps if s.transformative == 1]
+    transformative_steps = [s.step for s in trace if s.transformative == 1]
     assert transformative_steps == [1, 3]  # the steps introducing 2 and 4
-    for step in trace.steps:
+    for step in trace:
         if is_pause(step.datum):
             assert step.novel is None
             assert step.transformative is None
@@ -279,7 +388,7 @@ def test_memorizer_trace_flags_first_occurrences_only():
 
 def test_trace_hyp_changed_matches_transformativeness_on_artefacts():
     trace = transformation_trace(memorizer(FAM), padded_repeats_evens_text(), 9)
-    for step in trace.steps:
+    for step in trace:
         if not is_pause(step.datum):
             assert step.hyp_changed == bool(step.transformative)
 
@@ -307,7 +416,6 @@ DIFF_LANGUAGES = {
     "all": all_language(U),
     "finite": finite(1, 2, 5, 8),
 }
-DIFF_STRATEGIES = (Canonical(), Padded(0.3), ShuffledWindow(3), RepetitionHeavy(0.4))
 
 
 @pytest.mark.parametrize("name", sorted(SCIENTISTS))
@@ -320,7 +428,7 @@ def test_trace_matches_replay_reference(name, language, strategy):
     expected = reference_transformation_trace(scientist, fate, horizon)
     trace = transformation_trace(scientist, fate, horizon)
     assert trace == expected
-    hyp_indices = tuple(step.hyp_index for step in trace.steps)
+    hyp_indices = tuple(step.hyp_index for step in trace)
     assert converges_at(scientist, fate, horizon).trace == hyp_indices
 
 
@@ -333,5 +441,5 @@ def test_trace_matches_replay_reference_when_equality_is_undecided(strategy):
     fate = make_fate(EVENS, strategy, seed=9)
     trace = transformation_trace(flipper, fate, 16)
     assert trace == reference_transformation_trace(flipper, fate, 16)
-    flags = [s.semantically_transformative for s in trace.steps]
+    flags = [s.semantically_transformative for s in trace]
     assert INDETERMINATE in flags and 0 in flags

@@ -389,9 +389,12 @@ def _user_scientist():
     return Scientist("flip", FAM, lambda sigma: tail_index(len(sigma) // 3 % 2))
 
 
-# Every registered scientist with its defaults, wrappers nested two deep, an
-# annotator over set_driven and one over a user scientist.
+# Every registered scientist with its defaults, two with their parameter set,
+# wrappers nested two deep, an annotator over set_driven and one over a user
+# scientist.
 DIFFERENTIAL_SPECS = sorted(SCIENTISTS) + [
+    {"name": "enumeration", "class_order": ["{2}", "evens", "{2,4}"]},
+    "dumb_visionary:odds",
     {"name": "set_driven", "base": {"name": "set_driven", "base": "memorizer"}},
     {"name": "set_driven", "base": {"name": "confidence_annotating", "base": "last_novel",
                                     "initial_confidence": 1}},
