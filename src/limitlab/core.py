@@ -108,16 +108,21 @@ class Universe:
         return Artefact(self.to_token(rank), rank)
 
     def parse(self, token: str) -> Artefact:
+        """The artefact a token spells canonically, ranked below 2**24 (a 2 MiB set code)."""
         rank = self.from_token(token)
-        self.artefact(rank)  # the same range check
-        return Artefact(token, rank)
+        if rank >= 1 << 24:
+            raise ValueError(f"universe rank of a token must be below {1 << 24}, got {rank}")
+        a = self.artefact(rank)
+        if a.token != token:
+            raise ValueError(f"token {token!r} is not canonical: rank {rank} is {a.token!r}")
+        return a
 
 
 def decimal_universe() -> Universe:
     """Universe whose tokens are the decimal numerals 0, 1, 2, ..."""
 
     def from_token(token: str) -> int:
-        if not token.isdigit() or (len(token) > 1 and token[0] == "0"):
+        if not token.isdigit():  # parse rejects leading zeros as non-canonical
             raise ValueError(f"not a decimal numeral: {token!r}")
         return int(token)
 
@@ -344,10 +349,10 @@ class ShuffledWindow(_Strategy):
     window: int = 4
 
     def __post_init__(self) -> None:
-        # islice takes at most sys.maxsize items per window.
-        if type(self.window) is not int or not 1 <= self.window <= sys.maxsize:
+        # A window is held in memory whole before its first datum is yielded.
+        if type(self.window) is not int or not 1 <= self.window <= 1 << 16:
             raise ValueError(
-                f"window size must be an integer from 1 to {sys.maxsize}, got {self.window!r}"
+                f"window size must be an integer from 1 to {1 << 16}, got {self.window!r}"
             )
 
     def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:

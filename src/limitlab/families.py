@@ -87,24 +87,26 @@ class LanguageRepr:
     """A language as a decidable membership test plus a canonical enumeration.
 
     ``element(k)`` is the k-th member in canonical order, or None past the end
-    of a finite language. ``size`` is None for declared-infinite languages,
-    which carry a ``label`` naming their identity.
+    of a finite language, which is its set ``code``. ``code`` is None for
+    declared-infinite languages, which carry a ``label`` naming their identity.
     """
 
     contains: Callable[[Artefact], bool]
     element: Callable[[int], Artefact | None]
-    size: int | None
+    code: int | None = None
     label: str | None = None
 
+    @property
+    def size(self) -> int | None:
+        return None if self.code is None else self.code.bit_count()
+
     def finite_members(self) -> frozenset | None:
-        if self.size is None:
-            return None
-        return frozenset(self.element(k) for k in range(self.size))
+        return None if self.code is None else frozenset(map(self.element, range(self.size)))
 
     def describe(self) -> str:
         if self.label is not None:
             return self.label
-        return _set_literal(a.token for a in _by_rank(self.finite_members()))
+        return _set_literal(self.element(k).token for k in range(self.size))
 
 
 def _by_rank(artefacts: Iterable[Artefact]) -> list[Artefact]:
@@ -117,13 +119,7 @@ def _set_literal(tokens: Iterable[str]) -> str:
 
 
 def finite_language(universe: Universe, artefacts: Iterable[Artefact]) -> LanguageRepr:
-    members = frozenset(artefacts)
-    ordered = tuple(_by_rank(members))
-    return LanguageRepr(
-        contains=lambda a: a in members,
-        element=lambda k: ordered[k] if 0 <= k < len(ordered) else None,
-        size=len(ordered),
-    )
+    return _tail_language(universe, encode_finite_set(artefacts))
 
 
 def _tail_language(universe: Universe, code: int) -> LanguageRepr:
@@ -141,12 +137,11 @@ def _tail_language(universe: Universe, code: int) -> LanguageRepr:
 
     def element(k: int) -> Artefact | None:
         if not decoded:
-            members = decode_finite_set(code, universe)
-            decoded.append(tuple(_by_rank(members)))
+            decoded.append(tuple(_by_rank(decode_finite_set(code, universe))))
         ordered = decoded[0]
         return ordered[k] if 0 <= k < len(ordered) else None
 
-    return LanguageRepr(contains=contains, element=element, size=code.bit_count())
+    return LanguageRepr(contains=contains, element=element, code=code)
 
 
 def evens_language(universe: Universe) -> LanguageRepr:
@@ -154,7 +149,6 @@ def evens_language(universe: Universe) -> LanguageRepr:
     return LanguageRepr(
         contains=lambda a: a.rank > 0 and a.rank % 2 == 0,
         element=lambda k: universe.artefact(2 * (k + 1)),
-        size=None,
         label="evens",
     )
 
@@ -163,7 +157,6 @@ def odds_language(universe: Universe) -> LanguageRepr:
     return LanguageRepr(
         contains=lambda a: a.rank % 2 == 1,
         element=lambda k: universe.artefact(2 * k + 1),
-        size=None,
         label="odds",
     )
 
@@ -172,7 +165,6 @@ def all_language(universe: Universe) -> LanguageRepr:
     return LanguageRepr(
         contains=lambda a: True,
         element=universe.artefact,
-        size=None,
         label="all",
     )
 
@@ -200,15 +192,15 @@ def registry_oracle() -> dict[frozenset, Equality]:
 def compare_languages(
     a: LanguageRepr, b: LanguageRepr, oracle: Oracle | None = None
 ) -> Equality:
-    """Sound three-valued equality: EQUAL and NOT_EQUAL answers are decisive."""
+    """Sound three-valued equality: EQUAL and NOT_EQUAL answers are decisive.
+
+    A finite language is its set code: with a finite side, equal codes are
+    EQUAL and all else NOT_EQUAL, no decode. Both must share one universe.
+    """
     if a is b:
         return Equality.EQUAL
-    if a.size is not None and b.size is not None:
-        if a.finite_members() == b.finite_members():
-            return Equality.EQUAL
-        return Equality.NOT_EQUAL
-    if (a.size is None) != (b.size is None):
-        return Equality.NOT_EQUAL
+    if a.code is not None or b.code is not None:
+        return Equality.EQUAL if a.code == b.code else Equality.NOT_EQUAL
     if a.label is not None and b.label is not None:
         if a.label == b.label:
             return Equality.EQUAL
@@ -244,14 +236,14 @@ class LanguageFamily:
 
     def finite_index(self, artefacts: Iterable[Artefact]) -> int:
         """Index of a finite language in the tail (ignoring duplicate specials)."""
-        return self.offset + encode_finite_set(frozenset(artefacts))
+        return self.offset + encode_finite_set(artefacts)
 
     def semantic_equals(self, p: int, q: int) -> Equality:
         if p == q:
             return Equality.EQUAL
         low, high = sorted((p, q))
         if low >= self.offset:
-            # The tail is a bijection onto finite sets: distinct codes differ.
+            # compare_languages's code rule, without building two tail languages.
             return Equality.NOT_EQUAL
         return self.compare_index_with(high, self.language_of(low))
 
@@ -274,8 +266,8 @@ class LanguageFamily:
                 break
             if verdict is Equality.UNKNOWN:
                 unknown_below.append(p)
-        if best is None and target.size is not None:
-            best = self.offset + encode_finite_set(target.finite_members())
+        if best is None and target.code is not None:
+            best = self.offset + target.code
         if best is None:
             raise NotInFamilyError(
                 f"no index denotes {target.describe()} in this family"

@@ -26,6 +26,7 @@ from limitlab import (
     converges_at,
     decimal_universe,
     decode_finite_set,
+    encode_finite_set,
     evens_language,
     fate_from_function,
     is_pause,
@@ -173,15 +174,43 @@ def reference_bc_converges_at(
     return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "wrong-language", report)
 
 
+def reference_finite_language(universe: Universe, artefacts) -> LanguageRepr:
+    """A finite language as first written: a member set and its rank-ordered tuple."""
+    members = frozenset(artefacts)
+    ordered = tuple(sorted(members, key=lambda a: a.rank))
+    return LanguageRepr(
+        contains=lambda a: a in members,
+        element=lambda k: ordered[k] if 0 <= k < len(ordered) else None,
+        code=encode_finite_set(members),
+    )
+
+
+def reference_compare_languages(
+    a: LanguageRepr, b: LanguageRepr, oracle=None
+) -> Equality:
+    """Equality as first written: finite languages compare their decoded member sets."""
+    if a is b:
+        return Equality.EQUAL
+    if a.size is not None and b.size is not None:
+        if a.finite_members() == b.finite_members():
+            return Equality.EQUAL
+        return Equality.NOT_EQUAL
+    if (a.size is None) != (b.size is None):
+        return Equality.NOT_EQUAL
+    return compare_languages(a, b, oracle)  # two infinite languages: labels and oracle
+
+
 def reference_semantic_equals(family, p: int, q: int) -> Equality:
     """Decode both indices and compare the languages."""
     if p == q:
         return Equality.EQUAL
-    return compare_languages(family.language_of(p), family.language_of(q), family.oracle)
+    return reference_compare_languages(
+        family.language_of(p), family.language_of(q), family.oracle
+    )
 
 
 def reference_compare_index_with(family, p: int, target: LanguageRepr) -> Equality:
-    return compare_languages(family.language_of(p), target, family.oracle)
+    return reference_compare_languages(family.language_of(p), target, family.oracle)
 
 
 def reference_memorizer(fam: LanguageFamily, sigma: Experience) -> int:

@@ -399,6 +399,13 @@ def test_strategy_spec_forms_agree_and_round_trip(text, params):
         ("trace", "--language", "{99999999999999999999}", "--horizon", "2"),
         ("identify", "--languages", "{99999999999999999999}", "--horizon", "2"),
         ("trace", "--scientist", "dumb_visionary:{99999999999999999999}", "--horizon", "2"),
+        # A token must be its rank's own spelling: "٣" is a digit, but not "3".
+        ("identify", "--languages", "{٣};{3}", "--horizon", "8"),
+        # Ranks of 2**24 and up would take set codes of megabytes and more.
+        ("trace", "--language", "{4294967296}", "--horizon", "2"),
+        ("trace", "--scientist", "dumb_visionary:{4294967296}", "--horizon", "2"),
+        # A window is held whole in memory, so it stops at 2**16.
+        ("trace", "--strategy", "shuffled-window:65537", "--horizon", "1"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -629,9 +636,13 @@ _FAULTS = {
         [["evens"], {"special": ["odds"]}, {"specials": "evens"}, {"universe": "letters"}]
     ),
     "scientist": st.sampled_from(["oracle_of_delphi", {"name": "memorizer", "bogus": 1}, 7]),
-    "language": st.sampled_from(["primes", 5, "{15000}", "{99999999999999999999}"]),
+    "language": st.sampled_from(
+        ["primes", 5, "{15000}", "{99999999999999999999}", "{٣}", "{4294967296}"]
+    ),
     "languages": st.sampled_from(["evens", [5]]),
-    "strategy": st.sampled_from(["padded:1.5", "zigzag", {"name": "canonical", "window": 2}]),
+    "strategy": st.sampled_from(
+        ["padded:1.5", "zigzag", {"name": "canonical", "window": 2}, "shuffled-window:65537"]
+    ),
     "strategies": st.sampled_from([None, ["zigzag"]]),
     "seed": st.sampled_from([-1, 2**64, True, "0", 1.5]),
     "seeds": st.sampled_from([0, [-1], ["0"]]),

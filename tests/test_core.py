@@ -258,6 +258,13 @@ def test_out_of_range_strategy_parameters_rejected(build):
         build()
 
 
+def test_window_bound_is_two_to_the_16():
+    # A window is materialised whole before it yields, so it stays memory-sized.
+    assert ShuffledWindow(2**16).window == 2**16
+    with pytest.raises(ValueError, match="from 1 to 65536"):
+        ShuffledWindow(2**16 + 1)
+
+
 def test_integer_density_keeps_its_label():
     assert str(Padded(0)) == "padded(0)"
     assert str(RepetitionHeavy(0)) == "repetition-heavy(0)"
@@ -296,6 +303,33 @@ def test_ranks_past_maxsize_are_rejected(universe, token):
         resolve_language("{" + token + "}", universe)
     with pytest.raises(ValueError, match="universe rank"):
         universe.artefact(sys.maxsize + 1)
+
+
+@pytest.mark.parametrize("token", ["٣", "３", "03", "00"])
+def test_non_canonical_tokens_are_rejected(token):
+    # Each reads as a rank whose own token differs, so it names no artefact.
+    with pytest.raises(ValueError, match="not canonical"):
+        U.parse(token)
+    with pytest.raises(ValueError, match="not canonical"):
+        resolve_language("{" + token + "}", U)
+
+
+@pytest.mark.parametrize("universe", [decimal_universe(), letters_universe()])
+def test_token_ranks_stop_below_two_to_the_24(universe):
+    top = universe.artefact(2**24 - 1)
+    assert universe.parse(top.token) == top
+    with pytest.raises(ValueError, match="universe rank"):
+        universe.parse(universe.to_token(2**24))
+    with pytest.raises(ValueError, match="universe rank"):
+        resolve_language("{" + universe.to_token(2**32) + "}", universe)
+    # Generated artefacts keep the sys.maxsize range.
+    assert universe.artefact(2**40).rank == 2**40
+
+
+def test_largest_letters_token():
+    letters = letters_universe()
+    assert letters.parse("ajrnin").rank == 2**24 - 1
+    assert letters.parse("zzzzz").rank < 2**24  # every token of five letters or fewer
 
 
 def test_pause_token_is_reserved():

@@ -11,11 +11,14 @@ from helpers import (
     art,
     experiences,
     reference_compare_index_with,
+    reference_compare_languages,
+    reference_finite_language,
     reference_semantic_equals,
     reference_set_literal,
     standard_family,
 )
 from limitlab import (
+    LANGUAGES,
     Artefact,
     Equality,
     Experience,
@@ -158,7 +161,7 @@ set_codes = st.one_of(
 @given(code=set_codes)
 def test_tail_language_agrees_with_the_decoded_finite_language(fam, foreign, code):
     lazy = fam.language_of(fam.offset + code)
-    reference = finite_language(fam.universe, decode_finite_set(code, fam.universe))
+    reference = reference_finite_language(fam.universe, decode_finite_set(code, fam.universe))
     for rank in range(code.bit_length() + 3):
         a = fam.universe.artefact(rank)
         assert lazy.contains(a) == reference.contains(a)
@@ -180,6 +183,38 @@ def test_tail_membership_and_size_do_not_decode(monkeypatch):
     assert lang.contains(art(400)) and lang.contains(art(2))
     assert not lang.contains(art(3)) and not lang.contains(art(401))
     assert not lang.contains(LETTERS.artefact(2))
+
+
+def test_finite_comparisons_do_not_decode(monkeypatch):
+    def refuse(code, universe):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(families, "decode_finite_set", refuse)
+    big = finite(2, 400)
+    assert compare_languages(big, finite(400, 2)) is Equality.EQUAL
+    assert compare_languages(big, finite(2)) is Equality.NOT_EQUAL
+    assert compare_languages(big, EVENS, FAM.oracle) is Equality.NOT_EQUAL
+    assert compare_languages(ODDS, finite()) is Equality.NOT_EQUAL
+    p = FAM.offset + 2**2 + 2**400
+    assert FAM.compare_index_with(p, big) is Equality.EQUAL
+    assert FAM.compare_index_with(p, finite(400)) is Equality.NOT_EQUAL
+    assert FAM.min_index_for(big) == p
+    assert FINITE_SPECIAL.min_index_for(finite(4, 2)) == 1
+
+
+languages = st.one_of(
+    st.sets(st.integers(0, 12), max_size=4).map(lambda ranks: finite(*ranks)),
+    st.sets(st.integers(0, 12), max_size=4).map(
+        lambda ranks: reference_finite_language(U, (art(r) for r in ranks))
+    ),
+    st.sampled_from(sorted(LANGUAGES)).map(lambda name: LANGUAGES[name](U)),
+    st.sampled_from((EVENS, ODDS)),
+)
+
+
+@given(languages, languages, st.sampled_from((None, registry_oracle())))
+def test_compare_languages_matches_member_sets(a, b, oracle):
+    assert compare_languages(a, b, oracle) is reference_compare_languages(a, b, oracle)
 
 
 def test_finite_enumeration_defined_exactly_below_size():
@@ -254,7 +289,6 @@ def test_min_index_missing_language_raises():
     primes = LanguageRepr(
         contains=lambda a: a.rank in (2, 3, 5, 7, 11, 13),
         element=lambda k: art((2, 3, 5, 7, 11, 13)[k % 6]),
-        size=None,
         label="primes",
     )
     fam = LanguageFamily(U, (evens_language(U),))
@@ -266,7 +300,6 @@ def test_min_index_blocked_by_unknown_below_raises():
     mystery = LanguageRepr(
         contains=lambda a: True,
         element=lambda k: art(k),
-        size=None,
         label="mystery",
     )
     fam = LanguageFamily(U, (mystery, odds_language(U)))

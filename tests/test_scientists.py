@@ -74,7 +74,7 @@ def test_dumb_visionary_propagates_lookup_failure():
     from limitlab import LanguageRepr, NotInFamilyError
 
     primes = LanguageRepr(
-        contains=lambda a: False, element=lambda k: art(2), size=None, label="primes"
+        contains=lambda a: False, element=lambda k: art(2), label="primes"
     )
     with pytest.raises(NotInFamilyError):
         dumb_visionary(FAM, primes)
