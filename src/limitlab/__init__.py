@@ -14,10 +14,12 @@ from .core import (
     Datum,
     Experience,
     Fate,
+    NATURALS,
     Padded,
     Pause,
     RepetitionHeavy,
     STRATEGIES,
+    Schedule,
     ShuffledWindow,
     TextStrategy,
     UNIVERSES,

@@ -216,6 +216,9 @@ def _trace_lines(records: list, fmt: str, header: str) -> list[str]:
 
 
 def cmd_identify(config: dict) -> int:
+    for key in ("strategies", "seeds"):
+        if not config[key]:
+            raise ConfigError(f"{key} must not be empty: every cell needs a strategy and a seed")
     family, scientist = build_world(config)
     languages = _resolve_languages(config["languages"], family)
     strategies = [parse_strategy(s) for s in config["strategies"]]

@@ -4,6 +4,8 @@ A universe fixes a bijective enumeration of every artefact that can ever
 occur. Experiences are finite datum sequences, fates are total generators of
 infinite datum sequences, and the text strategies build fates that list a
 language exhaustively with configurable pause, order, and repetition texture.
+A strategy's text over the naturals is its schedule: relabelled, it gives the
+strategy's text of any language (``_relabel``, ``Schedule``).
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from array import array
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, count, islice
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -25,10 +28,12 @@ __all__ = [
     "Datum",
     "Experience",
     "Fate",
+    "NATURALS",
     "Padded",
     "Pause",
     "RepetitionHeavy",
     "STRATEGIES",
+    "Schedule",
     "ShuffledWindow",
     "TextStrategy",
     "UNIVERSES",
@@ -218,6 +223,8 @@ class Fate:
     ``stream_factory`` returns a fresh infinite iterator on every call, so
     repeated reads of the same index always agree and fates stay observably
     pure without shared mutable state; the sequence itself is never stored.
+    A fate from ``Schedule.fate`` reads a strategy's drawn schedule, shared
+    with the fates of other languages, and relabels it on every read.
     """
 
     stream_factory: Callable[[], Iterator[Datum]]
@@ -258,19 +265,51 @@ def derived_rng(*parts) -> random.Random:
 _PAD_BLOCK = 8  # slots per padded block; density resolves to floor(density * 8) pauses
 
 
+class _Naturals:
+    """The language of the naturals whose k-th element is the ordinal k itself.
+
+    A strategy's text over it is the strategy's schedule: it says where the
+    k-th element of any language goes (see ``_relabel``).
+    """
+
+    size = None
+
+    @staticmethod
+    def element(k: int) -> int:
+        return k
+
+
+NATURALS = _Naturals()
+
+
+def _relabel(lang: "LanguageRepr") -> Callable[[int], Datum]:
+    """The datum that ``lang``'s text holds where the schedule holds ordinal k.
+
+    The relabel rule, which every text strategy must meet: a strategy sees a
+    language only through ``_element_supply`` (the k-th canonical element,
+    taken mod the size for a finite language), its random draws depend on
+    its seed and its position in the text alone, and once the supply runs
+    dry it yields only pauses. Then the text of any language is the
+    strategy's text over ``NATURALS`` with each ordinal k replaced by
+    ``_relabel(lang)(k)``, and the empty language's text is all pauses.
+    """
+    size, element = lang.size, lang.element
+    if size == 0:
+        return lambda k: PAUSE
+    if size is None:
+        return element
+    return lambda k: element(k % size)
+
+
 def _element_supply(lang: "LanguageRepr") -> Iterator[Artefact]:
     """Infinite canonical element stream; empty for the empty language.
 
     Nonempty finite languages cycle so the stream never runs dry and every
     element keeps reappearing, as in any fair infinite text.
     """
-    size = lang.size
-    if size == 0:
-        return
-    k = 0
-    while True:
-        yield lang.element(k if size is None else k % size)
-        k += 1
+    if lang.size == 0:
+        return iter(())
+    return map(_relabel(lang), count())
 
 
 def _check_rate(value, what: str) -> None:
@@ -404,8 +443,44 @@ def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fa
     The k-th canonical element of the language is guaranteed to appear by a
     computable deadline (dovetailing), so the limiting content of the fate
     equals the language; the empty language yields the all-pause fate under
-    every strategy.
+    every strategy. By the relabel rule (``_relabel``), the fate is
+    ``Schedule.draw(make_fate(NATURALS, strategy, seed), n).fate(lang)``
+    for every n.
     """
     if not isinstance(strategy, TextStrategy):
         raise TypeError(f"unknown text strategy: {strategy!r}")
     return Fate(lambda: strategy.stream(lang, seed), lang)
+
+
+def _ordinals(data: Iterable) -> Iterator[int]:
+    """A text over ``NATURALS`` as ordinals, -1 standing for the pause."""
+    return (-1 if d is PAUSE else d for d in data)
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """A strategy's text over ``NATURALS``, its first positions drawn once for many languages.
+
+    ``ordinals`` holds the ordinal at each drawn position, or -1 for a pause,
+    as machine words. ``fate(lang)`` relabels it into ``lang``'s text without
+    drawing the strategy's randomness again.
+    """
+
+    source: Fate
+    ordinals: array
+
+    @classmethod
+    def draw(cls, source: Fate, n: int) -> Schedule:
+        """The first ``n`` positions of ``source``, a fate over ``NATURALS``."""
+        return cls(source, array("q", _ordinals(source.prefix(n))))
+
+    def fate(self, lang: "LanguageRepr") -> Fate:
+        """``lang``'s text: the drawn positions relabelled, then ``source`` re-streamed past them."""
+        relabel, ordinals, source = _relabel(lang), self.ordinals, self.source
+
+        def stream() -> Iterator[Datum]:
+            rest = islice(source.stream_factory(), len(ordinals), None)
+            for k in chain(ordinals, _ordinals(rest)):
+                yield PAUSE if k < 0 else relabel(k)
+
+        return Fate(stream, lang)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import Datum, Experience, Fate, TextStrategy, is_pause, make_fate
+from .core import NATURALS, Datum, Experience, Fate, Schedule, TextStrategy, is_pause, make_fate
 from .families import Equality, LanguageRepr
 from .scientists import Scientist
 from .schemas import Verdict, change_verdict
@@ -86,13 +86,17 @@ class IdentificationVerdict:
         return f"{self.outcome.value}({self.reason})"
 
 
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+
+
 def _walk(scientist: Scientist, fate: Fate, horizon: int, ahead: int = 0) -> tuple:
     """The fate's first ``horizon + ahead`` data, and the conjecture on each prefix ``data[:n]``.
 
     The one prefix replay: every limit check reads its hypothesis sequence here.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_horizon(horizon)
     data = fate.prefix(horizon + ahead).items
     return data, tuple(scientist.conjecture(Experience(data[:n])) for n in range(len(data) + 1))
 
@@ -188,10 +192,6 @@ class ExperimentTable:
     rows: tuple
     horizon: int
 
-    @property
-    def all_identified(self) -> bool:
-        return all(r.verdict == "Identified" for r in self.rows)
-
     def summary(self) -> str:
         if not self.rows:
             return "vacuously identifiable (empty class)"
@@ -220,25 +220,34 @@ def identify_class(
 ) -> ExperimentTable:
     """Run identifies_text over every (language, strategy, seed) cell.
 
-    Rows are ordered by the input iteration order, never by completion order.
+    Rows are ordered by the input iteration order, never by completion order:
+    languages, then strategies, then seeds. No strategy's randomness depends
+    on the language (the relabel rule of ``core._relabel``), so the cells run
+    (strategy, seed)-major: each text schedule is drawn once, held alone, and
+    relabelled for every language. An empty class is vacuous, but a class
+    with no strategy or no seed has no text to run and raises ValueError.
     """
-    rows = []
-    for lang in languages:
-        described = lang.describe()
-        for strategy in strategies:
-            for seed in seeds:
-                fate = make_fate(lang, strategy, seed)
-                verdict = identifies_text(scientist, fate, horizon)
-                rows.append(
-                    ExperimentRow(
-                        language=described,
-                        strategy=str(strategy),
-                        seed=seed,
-                        horizon=horizon,
-                        verdict=verdict.label(),
-                        last_change_step=verdict.report.last_change_step,
-                    )
-                )
+    languages = list(languages)
+    if not strategies or not seeds:
+        raise ValueError("identify_class needs at least one strategy and one seed")
+    if not languages:
+        return ExperimentTable(rows=(), horizon=horizon)
+    _check_horizon(horizon)
+    described = [lang.describe() for lang in languages]
+    texts = [(strategy, seed) for strategy in strategies for seed in seeds]
+    rows: list = [None] * (len(languages) * len(texts))
+    for t, (strategy, seed) in enumerate(texts):
+        schedule = Schedule.draw(make_fate(NATURALS, strategy, seed), horizon)
+        for i, lang in enumerate(languages):
+            verdict = identifies_text(scientist, schedule.fate(lang), horizon)
+            rows[i * len(texts) + t] = ExperimentRow(
+                language=described[i],
+                strategy=str(strategy),
+                seed=seed,
+                horizon=horizon,
+                verdict=verdict.label(),
+                last_change_step=verdict.report.last_change_step,
+            )
     return ExperimentTable(rows=tuple(rows), horizon=horizon)
 
 

@@ -12,6 +12,8 @@ from limitlab import (
     AnnotationFamily,
     Equality,
     Experience,
+    ExperimentRow,
+    ExperimentTable,
     Fate,
     IdentificationVerdict,
     LanguageFamily,
@@ -29,7 +31,9 @@ from limitlab import (
     encode_finite_set,
     evens_language,
     fate_from_function,
+    identifies_text,
     is_pause,
+    make_fate,
     novelty,
     odds_language,
     pair,
@@ -172,6 +176,28 @@ def reference_bc_converges_at(
     if comparisons[-1] is Equality.UNKNOWN:
         return IdentificationVerdict(Outcome.INDETERMINATE, "equality-unknown", report)
     return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "wrong-language", report)
+
+
+def reference_identify_class(
+    scientist: Scientist, languages, strategies, seeds, horizon: int
+) -> ExperimentTable:
+    """Class experiments as first written: one ``make_fate`` per cell, language-major."""
+    rows = []
+    for lang in languages:
+        for strategy in strategies:
+            for seed in seeds:
+                verdict = identifies_text(scientist, make_fate(lang, strategy, seed), horizon)
+                rows.append(
+                    ExperimentRow(
+                        language=lang.describe(),
+                        strategy=str(strategy),
+                        seed=seed,
+                        horizon=horizon,
+                        verdict=verdict.label(),
+                        last_change_step=verdict.report.last_change_step,
+                    )
+                )
+    return ExperimentTable(rows=tuple(rows), horizon=horizon)
 
 
 def reference_finite_language(universe: Universe, artefacts) -> LanguageRepr:

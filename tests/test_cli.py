@@ -386,6 +386,9 @@ def test_strategy_spec_forms_agree_and_round_trip(text, params):
         ("trace", "--language", "primes"),
         ("trace", "--strategy", "padded:1.5"),
         ("identify", "--seeds", "a;b"),
+        # No cell would run: the class is not empty, its texts are.
+        ("identify", "--seeds", ";"),
+        ("identify", "--strategies", ";"),
         ("trace", "--strategy", "canonical:1"),
         ("trace", "--strategy", "zigzag"),
         ("trace", "--strategy", "shuffled-window:2.0"),

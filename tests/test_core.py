@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 
 from helpers import U, art, exp, experiences
 from limitlab import (
+    LANGUAGES,
+    NATURALS,
     PAUSE,
+    STRATEGIES,
     Artefact,
     Canonical,
     Experience,
     Padded,
     Pause,
     RepetitionHeavy,
+    Schedule,
     ShuffledWindow,
     all_language,
     decimal_universe,
@@ -273,6 +277,50 @@ def test_integer_density_keeps_its_label():
 def test_make_fate_rejects_a_non_strategy():
     with pytest.raises(TypeError):
         make_fate(TWO_FOUR, "canonical")
+
+
+# ---------------------------------------------------------------------------
+# shared schedules against make_fate
+
+# Each registered strategy over its parameter range, ends included.
+TEXT_STRATEGIES = {
+    "canonical": st.just(Canonical()),
+    "padded": (st.just(0.0) | st.floats(0, 1, exclude_max=True)).map(Padded),
+    "shuffled-window": st.integers(1, 12).map(ShuffledWindow),
+    "repetition-heavy": (st.just(0.0) | st.floats(0, 1, exclude_max=True)).map(RepetitionHeavy),
+}
+
+
+def test_schedule_cases_cover_the_strategy_registry():
+    assert set(TEXT_STRATEGIES) == set(STRATEGIES)
+
+
+@st.composite
+def languages(draw):
+    """The empty, finite (up to 5 members, so windows reach past them) and special languages."""
+    universe = draw(st.sampled_from([decimal_universe(), letters_universe()]))
+    name = draw(st.sampled_from(["empty", "finite", *LANGUAGES]))
+    if name in LANGUAGES:
+        return LANGUAGES[name](universe)
+    ranks = () if name == "empty" else draw(st.sets(st.integers(0, 40), min_size=1, max_size=5))
+    return finite_language(universe, map(universe.artefact, ranks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    strategy=st.sampled_from(sorted(TEXT_STRATEGIES)).flatmap(TEXT_STRATEGIES.get),
+    lang=languages(),
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(0, 40),
+)
+def test_a_relabelled_schedule_is_the_languages_own_text(strategy, lang, seed, n):
+    schedule = Schedule.draw(make_fate(NATURALS, strategy, seed), n)
+    assert len(schedule.ordinals) == n
+    shared, own = schedule.fate(lang), make_fate(lang, strategy, seed)
+    assert shared.platonic is lang
+    # Up to the drawn horizon, and re-streamed past it.
+    for length in (n, 3 * n + 1):
+        assert shared.prefix(length) == own.prefix(length)
 
 
 # ---------------------------------------------------------------------------

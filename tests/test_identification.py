@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from helpers import (
     plain_evens_text,
     reference_bc_converges_at,
     reference_identifies_text,
+    reference_identify_class,
     reference_transformation_trace,
     standard_family,
 )
@@ -34,6 +36,7 @@ from limitlab import (
     bc_converges_at,
     confidence_annotating,
     converges_at,
+    core,
     derived_rng,
     dumb_visionary,
     ever_changing,
@@ -321,7 +324,7 @@ def test_memorizer_identifies_all_small_finite_languages():
         horizon=64,
     )
     assert len(table.rows) == 48
-    assert table.all_identified
+    assert {row.verdict for row in table.rows} == {"Identified"}
     assert "48/48" in table.summary()
 
 
@@ -331,14 +334,58 @@ def test_visionary_class_summary_fails_on_odds():
     )
     verdicts = [row.verdict for row in table.rows]
     assert verdicts == ["Identified", "NotIdentified(wrong-language)"]
-    assert not table.all_identified
+    assert "not identified" in table.summary()
 
 
 def test_empty_class_is_vacuously_identifiable():
     table = identify_class(memorizer(FAM), [], [Canonical()], [0], horizon=8)
     assert table.rows == ()
     assert table.summary() == "vacuously identifiable (empty class)"
-    assert table.all_identified
+    # No language, so no text schedule is drawn, however long the horizon.
+    assert identify_class(memorizer(FAM), [], [Canonical()], [0], sys.maxsize - 1).rows == ()
+
+
+@pytest.mark.parametrize("strategies, seeds", [([], [0]), ([Canonical()], []), ([], [])])
+def test_a_class_without_strategies_or_seeds_is_refused(strategies, seeds):
+    with pytest.raises(ValueError, match="at least one strategy and one seed"):
+        identify_class(memorizer(FAM), [finite(2)], strategies, seeds, horizon=8)
+
+
+@pytest.mark.parametrize("name", sorted(SCIENTISTS))
+def test_identify_class_matches_the_per_cell_reference(name):
+    scientist = build_scientist(name, FAM)
+    # Duplicated languages, strategies and seeds each get their own rows.
+    languages = [finite(), finite(2), EVENS, finite(1, 5, 7), ODDS, finite(2), all_language(U)]
+    strategies = [
+        Canonical(), Padded(0.25), ShuffledWindow(3), Canonical(), RepetitionHeavy(0.5),
+        Padded(0), ShuffledWindow(8),
+    ]
+    seeds = [0, 2**64 - 1, 0, 9]
+    table = identify_class(scientist, languages, strategies, seeds, horizon=12)
+    assert table == reference_identify_class(scientist, languages, strategies, seeds, 12)
+
+
+def test_identify_class_draws_each_text_once_per_call(monkeypatch):
+    draws = []
+    real = core.derived_rng
+
+    def counting(*parts):
+        draws.append(parts)
+        return real(*parts)
+
+    monkeypatch.setattr(core, "derived_rng", counting)
+    strategies = [Padded(0.25), ShuffledWindow(2), RepetitionHeavy(0.25)]
+
+    def count(languages, calls=1):
+        draws.clear()
+        for _ in range(calls):
+            identify_class(memorizer(FAM), languages, strategies, [0, 1], horizon=16)
+        return len(draws)
+
+    one = count([finite(1, 2)])
+    assert one > 0
+    assert count(_first_four_subsets()) == one  # 16 languages
+    assert count([finite(1, 2)], calls=2) == 2 * one  # nothing is kept between calls
 
 
 def test_class_of_empty_language_uses_the_all_pause_fate():
