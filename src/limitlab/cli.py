@@ -376,6 +376,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as err:
         print(f"{PROG}: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # A horizon can pass every bound yet hold a prefix too large for memory.
+        print(f"{PROG}: out of memory; try a smaller horizon", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader went away (``| head``). Point stdout at the null device so
         # that the flush at exit stays quiet, and exit as SIGPIPE would.

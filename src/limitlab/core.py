@@ -16,6 +16,7 @@ import sys
 from array import array
 from dataclasses import dataclass, fields
 from itertools import chain, count, islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -202,7 +203,7 @@ class Experience:
 
 def canonical_experience(artefacts: Iterable[Artefact]) -> Experience:
     """List a set of artefacts once each, sorted by universe rank, no pauses."""
-    return Experience(tuple(sorted(artefacts, key=lambda a: a.rank)))
+    return Experience(tuple(sorted(artefacts, key=attrgetter("rank"))))
 
 
 def experience_to_tokens(sigma: Experience) -> list[str]:

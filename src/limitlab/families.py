@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from .core import UNIVERSES, Artefact, Universe
@@ -110,7 +111,7 @@ class LanguageRepr:
 
 
 def _by_rank(artefacts: Iterable[Artefact]) -> list[Artefact]:
-    return sorted(artefacts, key=lambda a: a.rank)
+    return sorted(artefacts, key=attrgetter("rank"))
 
 
 def _set_literal(tokens: Iterable[str]) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .core import PAUSE, Datum, Experience, canonical_experience, derived_rng
@@ -24,7 +25,7 @@ from .families import (
     pair,
     resolve_language,
 )
-from .sampling import sample_experience, sample_same_content
+from .sampling import ranked_artefacts, sample_experience_over, sample_same_content
 
 __all__ = [
     "SCIENTISTS",
@@ -276,9 +277,9 @@ def _sampled_check(
     if trials <= 0:
         raise ValueError(f"trials must be > 0, got {trials}")
     rng = derived_rng(kind, seed, scientist.name)
-    universe = scientist.family.universe
+    artefacts = ranked_artefacts(scientist.family.universe)
     for t in range(trials):
-        found = probe(rng, sample_experience(rng, universe))
+        found = probe(rng, sample_experience_over(rng, artefacts))
         if found is not None:
             return SampledCheck(False, t + 1, found)
     return SampledCheck(True, trials)
@@ -304,7 +305,7 @@ def is_consistent_sampled(
 
     def probe(rng: random.Random, sigma: Experience) -> tuple | None:
         lang = scientist.family.language_of(scientist.conjecture(sigma))
-        ranked = sorted(sigma.content(), key=lambda x: x.rank)
+        ranked = sorted(sigma.content(), key=attrgetter("rank"))
         return next(((sigma, a) for a in ranked if not lang.contains(a)), None)
 
     return _sampled_check("consistent", scientist, trials, seed, probe)

@@ -2,7 +2,9 @@
 
 Each witness constructs its claim concretely and raises TheoremCheckError on
 any violation, so the suite is build-breaking by design. The property checks
-combine an exhaustive small-universe sweep with seeded random sampling.
+combine an exhaustive small-universe sweep with seeded random sampling. Each
+case asks novelty first and rates transformativeness only on a non-novel
+append: only there can "transformative implies novel" fail.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from itertools import product
 
 from .core import PAUSE, Artefact, Experience, Universe, derived_rng
 from .families import LanguageFamily, family_from_config
-from .sampling import sample_artefact, sample_experience
+from .sampling import ranked_artefacts, sample_experience_over, sample_member
 from .scientists import (
     SCIENTISTS,
     Scientist,
@@ -59,12 +61,16 @@ def _witness_family() -> LanguageFamily:
 def _require_novel_if_transformative(
     scientist: Scientist, sigma: Experience, a: Artefact
 ) -> None:
-    """Novelty is asked only when appending ``a`` moves the scientist."""
+    """Transformativeness is rated only when ``a`` is not novel after ``sigma``.
+
+    A novel append cannot falsify "transformative implies novel", so it costs
+    no conjecture; a non-novel one must leave the index where it was.
+    """
     s = Situation(scientist, sigma)
-    if transformativeness(a, s) == 1:
-        _check(
-            novelty(a, s) == 1,
-            f"{scientist.name} transformed on non-novel {a!r} after {sigma!r}",
+    if novelty(a, s) == 0 and transformativeness(a, s) == 1:
+        # The message is built only on failure: most non-novel cases pass.
+        raise TheoremCheckError(
+            f"{scientist.name} transformed on non-novel {a!r} after {sigma!r}"
         )
 
 
@@ -104,7 +110,8 @@ def novelty_not_necessary_witness() -> WitnessRecord:
 
 def _sweep(fleet: list[Scientist], universe: Universe, max_len: int) -> int:
     """Append each rank 0-2 artefact to every experience up to ``max_len`` over
-    ranks 0-2 and the pause, for each scientist; returns the number of cases.
+    ranks 0-2 and the pause, for each scientist; returns the number of cases,
+    novel appends included.
     """
     candidates = [universe.artefact(r) for r in range(3)]
     alphabet = candidates + [PAUSE]
@@ -138,7 +145,8 @@ def set_driven_novelty_property(trials: int = 10_000, seed: int = 0) -> WitnessR
 
     Exhaustively sweeps all experiences of length up to 3 over a 3-element
     universe against every candidate artefact, then samples ``trials`` random
-    (scientist, experience, artefact) triples over a wider range.
+    (scientist, experience, artefact) triples over a wider range. A case
+    conjectures only when its artefact is not novel.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -147,10 +155,11 @@ def set_driven_novelty_property(trials: int = 10_000, seed: int = 0) -> WitnessR
     fleet = _set_driven_fleet(fam)
     exhaustive = _sweep(fleet, u, 3)
     rng = derived_rng("set-driven-novelty", seed)
+    artefacts = ranked_artefacts(u)
     for _ in range(trials):
-        scientist = rng.choice(fleet)
-        sigma = sample_experience(rng, u)
-        _require_novel_if_transformative(scientist, sigma, sample_artefact(rng, u))
+        scientist = sample_member(rng, fleet)
+        sigma = sample_experience_over(rng, artefacts)
+        _require_novel_if_transformative(scientist, sigma, sample_member(rng, artefacts))
     return WitnessRecord(
         claim="set-driven scientists transform only on novel artefacts",
         values={
@@ -168,7 +177,7 @@ def novelty_guard_without_set_drivenness_witness(
     """The last-novel scientist needs novelty to transform yet is order-sensitive.
 
     Part one sweeps all experiences of length up to 4 over a 3-element
-    universe and checks that every transformative append is novel. Part two
+    universe and checks that no non-novel append is transformative. Part two
     exhibits an equal-content experience pair that the scientist maps to
     different indices.
     """

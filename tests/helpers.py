@@ -3,6 +3,7 @@ replay-from-empty reference semantics for differential tests of fast paths."""
 
 from __future__ import annotations
 
+import random
 from typing import Callable
 
 from hypothesis import strategies as st
@@ -43,6 +44,8 @@ from limitlab import (
     transformativeness,
     unpair,
 )
+from limitlab.sampling import MAX_EXTRA, PAUSE_RATE
+from limitlab.theorems import TheoremCheckError
 
 U = decimal_universe()
 
@@ -342,3 +345,43 @@ def reference_set_literal(family, p: int) -> str | None:
         return None
     members = sorted(decode_finite_set(p - family.offset, family.universe), key=lambda a: a.rank)
     return "{" + ",".join(a.token for a in members) + "}"
+
+
+def reference_sample_artefact(rng: random.Random, universe: Universe, max_rank: int = 7):
+    """The artefact sampler as first written: one ``randint`` per artefact."""
+    return universe.artefact(rng.randint(0, max_rank))
+
+
+def reference_sample_experience(
+    rng: random.Random, universe: Universe, max_rank: int = 7, max_len: int = 8
+) -> Experience:
+    """The experience sampler as first written: ``randint`` draws, one artefact built per draw."""
+    n = rng.randint(0, max_len)
+    return Experience(tuple(
+        PAUSE if rng.random() < PAUSE_RATE else reference_sample_artefact(rng, universe, max_rank)
+        for _ in range(n)
+    ))
+
+
+def reference_sample_same_content(rng: random.Random, sigma: Experience) -> Experience:
+    """The same-content sampler as first written: ``randint`` and ``choice`` draws."""
+    artefacts = sorted(sigma.content(), key=lambda a: a.rank)
+    if not artefacts:
+        return Experience(tuple(PAUSE for _ in range(rng.randint(0, MAX_EXTRA))))
+    seq = artefacts + [rng.choice(artefacts) for _ in range(rng.randint(0, MAX_EXTRA))]
+    rng.shuffle(seq)
+    items: list = []
+    for a in seq:
+        while rng.random() < PAUSE_RATE:
+            items.append(PAUSE)
+        items.append(a)
+    return Experience(tuple(items))
+
+
+def reference_require_novel_if_transformative(scientist: Scientist, sigma: Experience, a) -> None:
+    """The witness check as first written: rate transformativeness, then ask novelty."""
+    s = Situation(scientist, sigma)
+    if transformativeness(a, s) == 1 and novelty(a, s) != 1:
+        raise TheoremCheckError(
+            f"{scientist.name} transformed on non-novel {a!r} after {sigma!r}"
+        )

@@ -584,6 +584,18 @@ def test_oversized_seed_rejected(capsys):
     assert "64-bit" in err
 
 
+@pytest.mark.parametrize("command", ["identify", "trace"])
+def test_prefix_too_large_for_memory_exits_two(monkeypatch, capsys, command):
+    # Stands in for a horizon within bounds whose prefix memory cannot hold.
+    def no_memory(self, n):
+        raise MemoryError
+
+    monkeypatch.setattr(limitlab.core.Fate, "prefix", no_memory)
+    code, out, err = run(capsys, command, "--horizon", "5")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "out of memory" in err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: every generated config runs or exits 2, without a traceback
 
