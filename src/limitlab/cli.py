@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .core import STRATEGIES, UNIVERSES, TextStrategy, is_pause, make_fate
 from .families import LANGUAGES, LanguageFamily, family_from_config, resolve_language
-from .identification import identify_class, transformation_trace
+from .identification import TraceStep, identify_class, transformation_trace
 from .scientists import SCIENTISTS, Scientist, build_scientist
 from .theorems import run_theorem_suite
 
@@ -156,23 +156,9 @@ def cmd_trace(config: dict) -> int:
     fate = make_fate(language, strategy, config["seed"])
     steps = transformation_trace(scientist, fate, config["horizon"])
     hyp_sets = scientist.family.tail_set_literals(step.hyp_index for step in steps)
-    records = []
-    for step, hyp_set in zip(steps, hyp_sets):
-        records.append(
-            {
-                "step": step.step,
-                "datum": "#" if is_pause(step.datum) else step.datum.token,
-                "hyp_index": step.hyp_index,
-                "hyp_set": hyp_set,
-                "hyp_changed": step.hyp_changed,
-                "novel": step.novel,
-                "transformative": step.transformative,
-                "semantically_transformative": step.semantically_transformative,
-            }
-        )
     header = f"trace: {scientist.name} on {language.describe()} [{strategy}] seed={config['seed']}"
     try:
-        lines = _trace_lines(records, config["format"], header)
+        lines = _trace_lines(steps, hyp_sets, config["format"], header)
     except ValueError as err:
         # Python refuses int-to-decimal conversions beyond a digit limit; the
         # lines are all formatted before any is written, so stdout stays empty.
@@ -187,30 +173,58 @@ def cmd_trace(config: dict) -> int:
     return 0
 
 
-def _trace_lines(records: list, fmt: str, header: str) -> list[str]:
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps's own string encoder
+
+
+def _json_flag(v: int | str | None) -> str:
+    """A trace flag (None, an int or INDETERMINATE) as ``json.dumps`` writes it."""
+    if v is None:
+        return "null"
+    return _encode_str(v) if isinstance(v, str) else str(v)
+
+
+def _trace_json_line(step: TraceStep, hyp_set: str | None) -> str:
+    """The step's jsonl record, byte for byte ``_json_line`` of its fields in this order."""
+    datum = "#" if is_pause(step.datum) else step.datum.token
+    return (
+        f'{{"step":{step.step},"datum":{_encode_str(datum)},"hyp_index":{step.hyp_index},'
+        f'"hyp_set":{"null" if hyp_set is None else _encode_str(hyp_set)},'
+        f'"hyp_changed":{"true" if step.hyp_changed else "false"},'
+        f'"novel":{_json_flag(step.novel)},'
+        f'"transformative":{_json_flag(step.transformative)},'
+        f'"semantically_transformative":{_json_flag(step.semantically_transformative)}}}'
+    )
+
+
+def _trace_lines(steps: Sequence[TraceStep], hyp_sets: list, fmt: str, header: str) -> list[str]:
+    rows = zip(steps, hyp_sets)
     if fmt == "jsonl":
-        return [_json_line(record) for record in records]
+        return [_trace_json_line(step, hyp_set) for step, hyp_set in rows]
     if fmt == "csv":
-        return [",".join(records[0].keys())] + [
-            ",".join("" if v is None else str(v).replace(",", ";") for v in record.values())
-            for record in records
+        return [
+            "step,datum,hyp_index,hyp_set,hyp_changed,novel,transformative,"
+            "semantically_transformative"
+        ] + [
+            f"{s.step},{'#' if is_pause(s.datum) else s.datum.token},{s.hyp_index},"
+            f"{'' if hyp_set is None else hyp_set.replace(',', ';')},{s.hyp_changed},"
+            f"{'' if s.novel is None else s.novel},"
+            f"{'' if s.transformative is None else s.transformative},"
+            f"{'' if s.semantically_transformative is None else s.semantically_transformative}"
+            for s, hyp_set in rows
         ]
     lines = [
         header,
         f"{'step':>4}  {'datum':>6}  {'hyp':>12}  {'set':<12}  chg  nov  tra  sem",
     ]
-    for r in records:
-        flags = [
-            "y" if r["hyp_changed"] else ".",
-            "-" if r["novel"] is None else str(r["novel"]),
-            "-" if r["transformative"] is None else str(r["transformative"]),
-            "-" if r["semantically_transformative"] is None
-            else str(r["semantically_transformative"])[:3],
-        ]
-        hyp_set = r["hyp_set"] if r["hyp_set"] is not None else "-"
+    for s, hyp_set in rows:
+        datum = "#" if is_pause(s.datum) else s.datum.token
+        novel = "-" if s.novel is None else s.novel
+        transformative = "-" if s.transformative is None else s.transformative
+        sem = "-" if s.semantically_transformative is None else str(s.semantically_transformative)[:3]
         lines.append(
-            f"{r['step']:>4}  {r['datum']:>6}  {r['hyp_index']:>12}  "
-            f"{hyp_set:<12}  {flags[0]:>3}  {flags[1]:>3}  {flags[2]:>3}  {flags[3]}"
+            f"{s.step:>4}  {datum:>6}  {s.hyp_index:>12}  "
+            f"{'-' if hyp_set is None else hyp_set:<12}  {'y' if s.hyp_changed else '.':>3}  "
+            f"{novel:>3}  {transformative:>3}  {sem}"
         )
     return lines
 

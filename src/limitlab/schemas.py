@@ -58,7 +58,7 @@ def novelty(a: Artefact, s: Situation) -> int:
     can compute it exactly.
     """
     _require_artefact(a)
-    return int(a not in s.experience.content())
+    return int(a not in s.experience.items)  # a pause never equals an artefact
 
 
 def transformativeness(a: Artefact, s: Situation) -> int:

@@ -13,6 +13,7 @@ each builder for configs and experiment sweeps.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -251,14 +252,56 @@ def last_novel(fam: LanguageFamily) -> Scientist:
 
 
 def set_driven_wrapper(base: Scientist) -> Scientist:
-    """Feed the base only the canonical listing of the content: set-driven by construction."""
-    return Scientist(
-        name=f"set_driven({base.name})",
-        family=base.family,
-        conjecture=lambda sigma: base.conjecture(
-            canonical_experience(sigma.content())
-        ),
-    )
+    """Feed the base only the canonical listing of the content: set-driven by construction.
+
+    The wrap conjectures by replay, through ``sigma.content()``, and keeps one
+    memo, replaced whole like a fold's: the last content and its index. A
+    call on the same content returns that index. A fold base also keeps the
+    content's rank-sorted listing and its own state after each prefix of it;
+    a call on a superset then inserts the new artefacts by rank and steps the
+    base only from the first position that changed, and any other call lists
+    and folds from the start. A replay base is re-asked on the whole listing.
+    Artefacts are told apart by rank, as within one universe. The kept states
+    are O(k) values for a content of k artefacts, so a memorizer base, whose
+    state after i artefacts is a code of up to i bits, holds Θ(k²) bits: the
+    same order as ``ConvergenceReport.trace``.
+    """
+    fold = base.fold
+    rank = attrgetter("rank")
+    # (content, index), and for a fold base (..., listing, states), where
+    # states[i] is the base after listing[:i]. A published memo is never mutated.
+    memo: tuple = (None, 0, (), ())
+
+    def relist(content: frozenset, last, _, listing, states) -> tuple:
+        new = None if last is None else content - last
+        if new is not None and len(new) == len(content) - len(last):  # last <= content
+            new = sorted(new, key=rank)
+            first = bisect_left(listing, new[0].rank, key=rank)
+            listing, states = list(listing), states[: first + 1]
+            for a in new:
+                listing.insert(bisect_left(listing, a.rank, first, key=rank), a)
+        else:
+            listing = sorted(content, key=rank)
+            first, states = 0, [fold.init]
+        state = states[first]
+        for a in listing[first:]:
+            state = fold.step(state, a)
+            states.append(state)
+        return content, fold.emit(state), listing, states
+
+    def conjecture(sigma: Experience) -> int:
+        nonlocal memo
+        content = sigma.content()
+        kept = memo  # read once: a thread sharing the wrap may replace it
+        if content != kept[0]:
+            if fold is None:
+                kept = (content, base.conjecture(canonical_experience(content)))
+            else:
+                kept = relist(content, *kept)
+            memo = kept
+        return kept[1]
+
+    return Scientist(name=f"set_driven({base.name})", family=base.family, conjecture=conjecture)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from limitlab import (
     Situation,
     TraceStep,
     Universe,
+    build_scientist,
     canonical_experience,
     compare_languages,
     converges_at,
@@ -303,6 +304,13 @@ def reference_conjecture(spec, fam: LanguageFamily) -> Callable[[Experience], in
         initial = params.get("initial_confidence", 3)
         return lambda sigma: reference_confidence_conjecture(fam, base, initial, sigma)
     raise ValueError(f"no reference for {name!r}")
+
+
+def reference_set_driven(base_spec, fam: LanguageFamily) -> Callable[[Experience], int]:
+    """The set-driven wrap as first written: a fresh base re-asked on the canonical listing."""
+    return lambda sigma: build_scientist(base_spec, fam).conjecture(
+        canonical_experience(sigma.content())
+    )
 
 
 def reference_confidence_conjecture(

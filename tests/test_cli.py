@@ -18,10 +18,14 @@ from hypothesis import strategies as st
 import limitlab
 from helpers import U, art, exp, standard_family
 from limitlab import (
+    INDETERMINATE,
+    PAUSE,
     Experience,
     STRATEGIES,
     Padded,
     Situation,
+    TraceStep,
+    letters_universe,
     make_fate,
     memorizer,
     novelty,
@@ -29,7 +33,7 @@ from limitlab import (
     semantic_transformativeness,
     transformativeness,
 )
-from limitlab.cli import main, parse_strategy
+from limitlab.cli import _trace_json_line, main, parse_strategy
 
 TRACE_KEYS = {
     "step",
@@ -153,6 +157,49 @@ def test_trace_pretty_format_mentions_the_run(capsys):
     assert code == 0
     assert "memorizer" in out
     assert "{2}" in out
+
+
+LETTERS = letters_universe()
+DATA = st.one_of(
+    st.just(PAUSE),
+    st.integers(0, 10**6).map(U.artefact),
+    st.integers(0, 10**6).map(LETTERS.artefact),
+)
+HYP_SETS = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(["2", "10", "a", "zz", "007"]), max_size=4).map(
+        lambda tokens: "{" + ",".join(tokens) + "}"
+    ),
+)
+FLAGS = st.sampled_from([None, 0, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    step=st.integers(0, 10**6),
+    datum=DATA,
+    hyp_index=st.integers(0, 10**4000),
+    hyp_set=HYP_SETS,
+    hyp_changed=st.booleans(),
+    novel=FLAGS,
+    transformative=FLAGS,
+    semantic=st.sampled_from([None, 0, 1, INDETERMINATE]),
+)
+def test_trace_jsonl_line_is_json_dumps_of_its_record(
+    step, datum, hyp_index, hyp_set, hyp_changed, novel, transformative, semantic
+):
+    trace_step = TraceStep(step, datum, hyp_index, hyp_changed, novel, transformative, semantic)
+    record = {
+        "step": step,
+        "datum": "#" if datum is PAUSE else datum.token,
+        "hyp_index": hyp_index,
+        "hyp_set": hyp_set,
+        "hyp_changed": hyp_changed,
+        "novel": novel,
+        "transformative": transformative,
+        "semantically_transformative": semantic,
+    }
+    assert _trace_json_line(trace_step, hyp_set) == json.dumps(record, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ _TRACES = {
         ("--scientist", "set_driven:last_novel", "--language", "odds",
          "--strategy", "shuffled-window:3", "--seed", "5", "--horizon", "14"),
     ),
+    "set-driven-long": (
+        {},
+        ("--scientist", "set_driven:last_novel", "--language", "evens",
+         "--strategy", "shuffled-window:8", "--horizon", "128"),
+    ),
     "visionary-repetition": (
         {},
         ("--scientist", "dumb_visionary:evens", "--language", "evens",

@@ -19,6 +19,7 @@ from helpers import (
     reference_conjecture,
     reference_last_novel,
     reference_memorizer,
+    reference_set_driven,
     standard_family,
 )
 from limitlab import (
@@ -302,6 +303,64 @@ def test_wrapper_makes_every_registered_base_set_driven():
         assert is_set_driven_sampled(wrapped, trials=500, seed=2).passed, name
 
 
+def test_wrapper_steps_a_fold_base_only_from_the_first_changed_rank():
+    stepped = []
+
+    def step(n, d):
+        stepped.append(d.rank)
+        return n + 1
+
+    wrapped = set_driven_wrapper(Scientist("counting", FAM, fold=Fold(0, step, lambda n: n)))
+    assert wrapped(exp("2 8")) == 2 and stepped == [2, 8]
+    stepped.clear()
+    assert wrapped(exp("2 8 6 4 #")) == 4 and stepped == [4, 6, 8]
+    stepped.clear()
+    assert wrapped(exp("8 # 2 6 4 8")) == 4 and stepped == []  # same content
+    assert wrapped(exp("2 8 6 4 10")) == 5 and stepped == [10]
+    stepped.clear()
+    assert wrapped(exp("6")) == 1 and stepped == [6]  # not a superset: from the start
+
+
+# One wrapper per registered base with its defaults: the fold bases, the
+# replay enumeration, and set_driven over set_driven.
+WRAP_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("extend"), st.integers(0, 12)),
+        st.tuples(st.just("pause"), st.none()),
+        st.tuples(st.just("repeat"), st.none()),
+        st.tuples(st.just("shrink"), st.integers(0, 12)),
+        st.tuples(st.just("unrelated"), experiences(max_rank=12, max_len=10)),
+        st.tuples(st.just("interleave"), st.none()),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("base", sorted(SCIENTISTS))
+@settings(max_examples=60, deadline=None)
+@given(calls=WRAP_CALLS)
+def test_one_shared_wrapper_agrees_with_a_fresh_base_over_any_call_sequence(base, calls):
+    wrapped = build_scientist({"name": "set_driven", "base": base}, FAM)
+    reference = reference_set_driven(base, FAM)
+    items: tuple = ()
+    other: tuple = (art(3), PAUSE, art(1))  # the second experience of an interleaving
+    for kind, arg in calls:
+        if kind == "extend":
+            items = items + (art(arg),)
+        elif kind == "pause":
+            items = items + (PAUSE,)
+        elif kind == "repeat":
+            items = tuple(list(items))  # equal data in a new tuple
+        elif kind == "shrink":
+            items = items[:arg]
+        elif kind == "unrelated":
+            items = arg.items
+        else:
+            items, other = other, items
+        sigma = Experience(items)
+        assert wrapped.conjecture(sigma) == reference(sigma), (kind, sigma)
+
+
 # ---------------------------------------------------------------------------
 # sampled checks
 
@@ -454,13 +513,12 @@ def test_every_scientist_agrees_with_replay_over_any_call_sequence(spec, calls):
         assert sci.conjecture(sigma) == reference(sigma), (kind, sigma)
 
 
-def test_a_fold_scientist_shared_by_threads_stays_exact():
+def _walk_shared_by_threads(spec, ranks: int) -> None:
     # Four threads walk the prefixes of their own texts through one scientist,
     # so each call may find the memo of another thread's experience.
-    spec = {"name": "confidence_annotating", "initial_confidence": 2}
     sci, reference = build_scientist(spec, FAM), reference_conjecture(spec, FAM)
     rng = derived_rng("threads")
-    texts = [tuple(art(rng.randrange(10)) for _ in range(60)) for _ in range(4)]
+    texts = [tuple(art(rng.randrange(ranks)) for _ in range(60)) for _ in range(4)]
     expected = [[reference(Experience(t[:n])) for n in range(len(t) + 1)] for t in texts]
     got: list = [None] * len(texts)
 
@@ -479,6 +537,15 @@ def test_a_fold_scientist_shared_by_threads_stays_exact():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [e * 5 for e in expected]
+
+
+def test_a_fold_scientist_shared_by_threads_stays_exact():
+    _walk_shared_by_threads({"name": "confidence_annotating", "initial_confidence": 2}, 10)
+
+
+def test_a_set_driven_wrap_shared_by_threads_stays_exact():
+    # Most calls insert an artefact in the middle of the wrap's listing.
+    _walk_shared_by_threads({"name": "set_driven", "base": "last_novel"}, 40)
 
 
 # ---------------------------------------------------------------------------
