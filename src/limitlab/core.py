@@ -2,10 +2,10 @@
 
 A universe fixes a bijective enumeration of every artefact that can ever
 occur. Experiences are finite datum sequences, fates are total generators of
-infinite datum sequences, and the text strategies build fates that list a
-language exhaustively with configurable pause, order, and repetition texture.
-A strategy's text over the naturals is its schedule: relabelled, it gives the
-strategy's text of any language (``_relabel``, ``Schedule``).
+infinite datum sequences. A text strategy is a language-free schedule of
+pauses and ordinals with configurable pause, order, and repetition texture;
+a language's text is that schedule relabelled, its k-th element standing for
+ordinal k (``make_fate``, ``Schedule``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass, fields
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, NamedTuple
 
@@ -224,8 +224,9 @@ class Fate:
     ``stream_factory`` returns a fresh infinite iterator on every call, so
     repeated reads of the same index always agree and fates stay observably
     pure without shared mutable state; the sequence itself is never stored.
-    A fate from ``Schedule.fate`` reads a strategy's drawn schedule, shared
-    with the fates of other languages, and relabels it on every read.
+    A fate from ``make_fate`` or ``Schedule.fate`` relabels a strategy's
+    schedule on every read; ``Schedule.fate`` shares the drawn part of it
+    with the fates of other languages.
     """
 
     stream_factory: Callable[[], Iterator[Datum]]
@@ -269,8 +270,7 @@ _PAD_BLOCK = 8  # slots per padded block; density resolves to floor(density * 8)
 class _Naturals:
     """The language of the naturals whose k-th element is the ordinal k itself.
 
-    A strategy's text over it is the strategy's schedule: it says where the
-    k-th element of any language goes (see ``_relabel``).
+    Its text under a strategy is that strategy's schedule itself.
     """
 
     size = None
@@ -284,16 +284,7 @@ NATURALS = _Naturals()
 
 
 def _relabel(lang: "LanguageRepr") -> Callable[[int], Datum]:
-    """The datum that ``lang``'s text holds where the schedule holds ordinal k.
-
-    The relabel rule, which every text strategy must meet: a strategy sees a
-    language only through ``_element_supply`` (the k-th canonical element,
-    taken mod the size for a finite language), its random draws depend on
-    its seed and its position in the text alone, and once the supply runs
-    dry it yields only pauses. Then the text of any language is the
-    strategy's text over ``NATURALS`` with each ordinal k replaced by
-    ``_relabel(lang)(k)``, and the empty language's text is all pauses.
-    """
+    """Ordinal k to ``lang``'s k-th element, k taken mod a finite size; all pauses if empty."""
     size, element = lang.size, lang.element
     if size == 0:
         return lambda k: PAUSE
@@ -302,15 +293,11 @@ def _relabel(lang: "LanguageRepr") -> Callable[[int], Datum]:
     return lambda k: element(k % size)
 
 
-def _element_supply(lang: "LanguageRepr") -> Iterator[Artefact]:
-    """Infinite canonical element stream; empty for the empty language.
-
-    Nonempty finite languages cycle so the stream never runs dry and every
-    element keeps reappearing, as in any fair infinite text.
-    """
-    if lang.size == 0:
-        return iter(())
-    return map(_relabel(lang), count())
+def _relabelled(lang: "LanguageRepr", ordinals: Iterable[int | Pause]) -> Iterator[Datum]:
+    """``lang``'s text from a schedule: a pause (or -1) stays a pause, k becomes its k-th element."""
+    relabel = _relabel(lang)
+    for k in ordinals:
+        yield PAUSE if k is PAUSE or k < 0 else relabel(k)
 
 
 def _check_rate(value, what: str) -> None:
@@ -319,7 +306,12 @@ def _check_rate(value, what: str) -> None:
 
 
 class _Strategy:
-    """Shared spelling of the text strategies.
+    """Shared spelling of the text strategies, and their one contract.
+
+    A strategy's ``schedule(seed)`` is an infinite stream of pauses and
+    ordinals that depends on the seed alone, and in which every ordinal k
+    appears by a computable deadline. A language's text is that schedule
+    relabelled (``make_fate``), so it lists the language exhaustively.
 
     A strategy has at most one parameter, its only dataclass field. It prints
     as ``name`` or ``name(param)`` and parses from ``name`` or ``name:param``.
@@ -349,10 +341,8 @@ class Canonical(_Strategy):
 
     name: ClassVar[str] = "canonical"
 
-    def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:
-        yield from _element_supply(lang)
-        while True:
-            yield PAUSE
+    def schedule(self, seed: int) -> Iterator[int | Pause]:
+        return count()
 
 
 @dataclass(frozen=True)
@@ -365,20 +355,14 @@ class Padded(_Strategy):
     def __post_init__(self) -> None:
         _check_rate(self.pause_density, "pause density")
 
-    def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:
-        supply = _element_supply(lang)
+    def schedule(self, seed: int) -> Iterator[int | Pause]:
         pauses_per_block = int(self.pause_density * _PAD_BLOCK)
-        block = 0
-        while True:
+        ordinals = count()
+        for block in count():
             rng = derived_rng("padded", seed, block)
             pause_slots = set(rng.sample(range(_PAD_BLOCK), pauses_per_block))
             for slot in range(_PAD_BLOCK):
-                if slot in pause_slots:
-                    yield PAUSE
-                else:
-                    nxt = next(supply, None)
-                    yield PAUSE if nxt is None else nxt
-            block += 1
+                yield PAUSE if slot in pause_slots else next(ordinals)
 
 
 @dataclass(frozen=True)
@@ -395,18 +379,12 @@ class ShuffledWindow(_Strategy):
                 f"window size must be an integer from 1 to {1 << 16}, got {self.window!r}"
             )
 
-    def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:
-        supply = _element_supply(lang)
-        block = 0
-        while True:
-            chunk = list(islice(supply, self.window))
-            if not chunk:
-                while True:
-                    yield PAUSE
-            rng = derived_rng("window", seed, block)
-            rng.shuffle(chunk)
+    def schedule(self, seed: int) -> Iterator[int | Pause]:
+        w = self.window
+        for block in count():
+            chunk = list(range(block * w, (block + 1) * w))
+            derived_rng("window", seed, block).shuffle(chunk)
             yield from chunk
-            block += 1
 
 
 @dataclass(frozen=True)
@@ -419,16 +397,11 @@ class RepetitionHeavy(_Strategy):
     def __post_init__(self) -> None:
         _check_rate(self.repeat_rate, "repeat rate")
 
-    def stream(self, lang: "LanguageRepr", seed: int) -> Iterator[Datum]:
-        k = 0
-        for a in _element_supply(lang):
+    def schedule(self, seed: int) -> Iterator[int | Pause]:
+        for k in count():
             rng = derived_rng("repeat", seed, k)
             reps = 1 + (rng.random() < self.repeat_rate) + (rng.random() < self.repeat_rate)
-            for _ in range(reps):
-                yield a
-            k += 1
-        while True:
-            yield PAUSE
+            yield from repeat(k, reps)
 
 
 TextStrategy = Canonical | Padded | ShuffledWindow | RepetitionHeavy
@@ -439,18 +412,15 @@ STRATEGIES: dict[str, type[TextStrategy]] = {
 
 
 def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fate:
-    """Build the deterministic fate for ``lang`` under a text strategy.
+    """``lang``'s text under a text strategy: the strategy's schedule at ``seed``, relabelled.
 
-    The k-th canonical element of the language is guaranteed to appear by a
-    computable deadline (dovetailing), so the limiting content of the fate
-    equals the language; the empty language yields the all-pause fate under
-    every strategy. By the relabel rule (``_relabel``), the fate is
-    ``Schedule.draw(make_fate(NATURALS, strategy, seed), n).fate(lang)``
-    for every n.
+    By the strategy contract (``_Strategy``) the k-th canonical element
+    appears by a computable deadline, so the limiting content of the fate is
+    the language; the empty language's fate is all pauses.
     """
     if not isinstance(strategy, TextStrategy):
         raise TypeError(f"unknown text strategy: {strategy!r}")
-    return Fate(lambda: strategy.stream(lang, seed), lang)
+    return Fate(lambda: _relabelled(lang, strategy.schedule(seed)), lang)
 
 
 def _ordinals(data: Iterable) -> Iterator[int]:
@@ -460,11 +430,12 @@ def _ordinals(data: Iterable) -> Iterator[int]:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """A strategy's text over ``NATURALS``, its first positions drawn once for many languages.
+    """A strategy's schedule (its text over ``NATURALS``), its first positions drawn once.
 
     ``ordinals`` holds the ordinal at each drawn position, or -1 for a pause,
-    as machine words. ``fate(lang)`` relabels it into ``lang``'s text without
-    drawing the strategy's randomness again.
+    as machine words. ``fate(lang)`` relabels it into ``lang``'s text, the
+    same text as ``make_fate``'s, without drawing the strategy's randomness
+    again.
     """
 
     source: Fate
@@ -476,12 +447,11 @@ class Schedule:
         return cls(source, array("q", _ordinals(source.prefix(n))))
 
     def fate(self, lang: "LanguageRepr") -> Fate:
-        """``lang``'s text: the drawn positions relabelled, then ``source`` re-streamed past them."""
-        relabel, ordinals, source = _relabel(lang), self.ordinals, self.source
+        """``lang``'s text: the drawn ordinals, then ``source`` re-streamed past them, relabelled."""
+        ordinals, source = self.ordinals, self.source
 
         def stream() -> Iterator[Datum]:
             rest = islice(source.stream_factory(), len(ordinals), None)
-            for k in chain(ordinals, _ordinals(rest)):
-                yield PAUSE if k < 0 else relabel(k)
+            return _relabelled(lang, chain(ordinals, rest))
 
         return Fate(stream, lang)

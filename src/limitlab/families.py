@@ -101,9 +101,6 @@ class LanguageRepr:
     def size(self) -> int | None:
         return None if self.code is None else self.code.bit_count()
 
-    def finite_members(self) -> frozenset | None:
-        return None if self.code is None else frozenset(map(self.element, range(self.size)))
-
     def describe(self) -> str:
         if self.label is not None:
             return self.label

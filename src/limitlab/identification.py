@@ -221,9 +221,9 @@ def identify_class(
     """Run identifies_text over every (language, strategy, seed) cell.
 
     Rows are ordered by the input iteration order, never by completion order:
-    languages, then strategies, then seeds. No strategy's randomness depends
-    on the language (the relabel rule of ``core._relabel``), so the cells run
-    (strategy, seed)-major: each text schedule is drawn once, held alone, and
+    languages, then strategies, then seeds. A text is its strategy's schedule
+    relabelled, and a schedule sees no language, so the cells run
+    (strategy, seed)-major: each schedule is drawn once, held alone, and
     relabelled for every language. An empty class is vacuous, but a class
     with no strategy or no seed has no text to run and raises ValueError.
     """

@@ -4,13 +4,15 @@ replay-from-empty reference semantics for differential tests of fast paths."""
 from __future__ import annotations
 
 import random
-from typing import Callable
+from itertools import count, islice
+from typing import Callable, Iterator
 
 from hypothesis import strategies as st
 
 from limitlab import (
     PAUSE,
     AnnotationFamily,
+    Canonical,
     Equality,
     Experience,
     ExperimentRow,
@@ -20,7 +22,10 @@ from limitlab import (
     LanguageFamily,
     LanguageRepr,
     Outcome,
+    Padded,
+    RepetitionHeavy,
     Scientist,
+    ShuffledWindow,
     Situation,
     TraceStep,
     Universe,
@@ -30,6 +35,7 @@ from limitlab import (
     converges_at,
     decimal_universe,
     decode_finite_set,
+    derived_rng,
     encode_finite_set,
     evens_language,
     fate_from_function,
@@ -69,6 +75,11 @@ def exp(spec: str, universe: Universe = U) -> Experience:
 
 def art(rank: int, universe: Universe = U):
     return universe.artefact(rank)
+
+
+def members(lang: LanguageRepr) -> frozenset:
+    """A finite language's members, listed by its enumeration."""
+    return frozenset(map(lang.element, range(lang.size)))
 
 
 def experiences(max_rank=9, max_len=10):
@@ -215,6 +226,83 @@ def reference_finite_language(universe: Universe, artefacts) -> LanguageRepr:
     )
 
 
+def _reference_element_supply(lang: LanguageRepr) -> Iterator:
+    """Infinite canonical element stream; empty for the empty language.
+
+    Nonempty finite languages cycle so the stream never runs dry and every
+    element keeps reappearing, as in any fair infinite text.
+    """
+    size = lang.size
+    if size == 0:
+        return iter(())
+    if size is None:
+        return map(lang.element, count())
+    return (lang.element(k % size) for k in count())
+
+
+def _reference_canonical(lang: LanguageRepr, strategy: Canonical, seed: int) -> Iterator:
+    yield from _reference_element_supply(lang)
+    while True:
+        yield PAUSE
+
+
+def _reference_padded(lang: LanguageRepr, strategy: Padded, seed: int) -> Iterator:
+    supply = _reference_element_supply(lang)
+    block_size = 8
+    pauses_per_block = int(strategy.pause_density * block_size)
+    block = 0
+    while True:
+        rng = derived_rng("padded", seed, block)
+        pause_slots = set(rng.sample(range(block_size), pauses_per_block))
+        for slot in range(block_size):
+            if slot in pause_slots:
+                yield PAUSE
+            else:
+                nxt = next(supply, None)
+                yield PAUSE if nxt is None else nxt
+        block += 1
+
+
+def _reference_shuffled_window(lang: LanguageRepr, strategy: ShuffledWindow, seed: int) -> Iterator:
+    supply = _reference_element_supply(lang)
+    block = 0
+    while True:
+        chunk = list(islice(supply, strategy.window))
+        if not chunk:
+            while True:
+                yield PAUSE
+        rng = derived_rng("window", seed, block)
+        rng.shuffle(chunk)
+        yield from chunk
+        block += 1
+
+
+def _reference_repetition_heavy(lang: LanguageRepr, strategy: RepetitionHeavy, seed: int) -> Iterator:
+    k = 0
+    for a in _reference_element_supply(lang):
+        rng = derived_rng("repeat", seed, k)
+        reps = 1 + (rng.random() < strategy.repeat_rate) + (rng.random() < strategy.repeat_rate)
+        for _ in range(reps):
+            yield a
+        k += 1
+    while True:
+        yield PAUSE
+
+
+# Each strategy's text as first written, by strategy name.
+REFERENCE_TEXTS = {
+    "canonical": _reference_canonical,
+    "padded": _reference_padded,
+    "shuffled-window": _reference_shuffled_window,
+    "repetition-heavy": _reference_repetition_heavy,
+}
+
+
+def reference_text(lang: LanguageRepr, strategy, seed: int) -> Iterator:
+    """A strategy's text of ``lang`` as first written: the strategy streams the language's elements."""
+    return REFERENCE_TEXTS[strategy.name](lang, strategy, seed)
+
+
 def reference_compare_languages(
     a: LanguageRepr, b: LanguageRepr, oracle=None
 ) -> Equality:
@@ -222,7 +310,7 @@ def reference_compare_languages(
     if a is b:
         return Equality.EQUAL
     if a.size is not None and b.size is not None:
-        if a.finite_members() == b.finite_members():
+        if members(a) == members(b):
             return Equality.EQUAL
         return Equality.NOT_EQUAL
     if (a.size is None) != (b.size is None):

@@ -5,12 +5,13 @@ from __future__ import annotations
 import copy
 import pickle
 import sys
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import U, art, exp, experiences
+from helpers import REFERENCE_TEXTS, U, art, exp, experiences, reference_text
 from limitlab import (
     LANGUAGES,
     NATURALS,
@@ -218,20 +219,26 @@ def test_fate_determinism(strategy):
     assert first == second
 
 
-def test_fairness_deadlines():
+FAIRNESS_DEADLINES = {
+    Canonical(): lambda k: k + 1,
+    Padded(0.25): lambda k: 8 * (k // 6 + 2),
+    ShuffledWindow(4): lambda k: 4 * (k // 4 + 1),
+    RepetitionHeavy(0.25): lambda k: 3 * (k + 1),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(lang=st.sampled_from([EVENS, NATURALS]), seed=st.integers(0, 2**64 - 1))
+@example(lang=EVENS, seed=13)
+def test_fairness_deadlines(lang, seed):
     # Element k of the canonical enumeration must appear by a computable
-    # deadline: the dovetailing guarantee behind content(T) = L.
-    deadlines = {
-        Canonical(): lambda k: k + 1,
-        Padded(0.25): lambda k: 8 * (k // 6 + 2),
-        ShuffledWindow(4): lambda k: 4 * (k // 4 + 1),
-        RepetitionHeavy(0.25): lambda k: 3 * (k + 1),
-    }
-    for strategy, deadline in deadlines.items():
-        fate = make_fate(EVENS, strategy, seed=13)
+    # deadline: the dovetailing guarantee behind content(T) = L. Over
+    # NATURALS the text is the schedule itself, so the deadline holds there.
+    for strategy, deadline in FAIRNESS_DEADLINES.items():
+        fate = make_fate(lang, strategy, seed)
         for k in range(20):
             horizon = deadline(k)
-            assert EVENS.element(k) in fate.prefix(horizon).content(), (
+            assert lang.element(k) in fate.prefix(horizon).content(), (
                 f"{strategy}: element {k} missing at deadline {horizon}"
             )
 
@@ -280,7 +287,7 @@ def test_make_fate_rejects_a_non_strategy():
 
 
 # ---------------------------------------------------------------------------
-# shared schedules against make_fate
+# make_fate and shared schedules against each strategy's text as first written
 
 # Each registered strategy over its parameter range, ends included.
 TEXT_STRATEGIES = {
@@ -293,6 +300,7 @@ TEXT_STRATEGIES = {
 
 def test_schedule_cases_cover_the_strategy_registry():
     assert set(TEXT_STRATEGIES) == set(STRATEGIES)
+    assert set(REFERENCE_TEXTS) == set(STRATEGIES)
 
 
 @st.composite
@@ -317,10 +325,12 @@ def test_a_relabelled_schedule_is_the_languages_own_text(strategy, lang, seed, n
     schedule = Schedule.draw(make_fate(NATURALS, strategy, seed), n)
     assert len(schedule.ordinals) == n
     shared, own = schedule.fate(lang), make_fate(lang, strategy, seed)
-    assert shared.platonic is lang
+    assert shared.platonic is lang and own.platonic is lang
     # Up to the drawn horizon, and re-streamed past it.
     for length in (n, 3 * n + 1):
-        assert shared.prefix(length) == own.prefix(length)
+        expected = Experience(tuple(islice(reference_text(lang, strategy, seed), length)))
+        assert own.prefix(length) == expected
+        assert shared.prefix(length) == expected
 
 
 # ---------------------------------------------------------------------------

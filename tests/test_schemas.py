@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import U, art, exp, plain_evens_text, standard_family
+from helpers import U, art, exp, members, plain_evens_text, standard_family
 from limitlab import (
     INDETERMINATE,
     PAUSE,
@@ -36,7 +36,7 @@ def sit(scientist, spec: str) -> Situation:
 
 def test_memorizer_space_is_the_content():
     space = hypothetical_space(sit(memorizer(FAM), "2 4"))
-    assert space.finite_members() == {art(2), art(4)}
+    assert members(space) == {art(2), art(4)}
 
 
 def test_visionary_space_is_constant():
@@ -46,7 +46,7 @@ def test_visionary_space_is_constant():
 
 
 def test_empty_experience_space_is_empty():
-    assert hypothetical_space(sit(memorizer(FAM), "")).finite_members() == frozenset()
+    assert members(hypothetical_space(sit(memorizer(FAM), ""))) == frozenset()
 
 
 # ---------------------------------------------------------------------------
