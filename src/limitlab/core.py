@@ -283,21 +283,30 @@ class _Naturals:
 NATURALS = _Naturals()
 
 
-def _relabel(lang: "LanguageRepr") -> Callable[[int], Datum]:
-    """Ordinal k to ``lang``'s k-th element, k taken mod a finite size; all pauses if empty."""
-    size, element = lang.size, lang.element
-    if size == 0:
-        return lambda k: PAUSE
+def _reduction(size: int | None) -> Callable[[int], int]:
+    """The relabel rule, on ordinals: k to the ordinal of the element it becomes, -1 for a pause.
+
+    A pause (-1) stays -1. For a finite size s > 0, ordinal k becomes k % s; for
+    size 0 every position becomes a pause; an infinite language keeps k.
+    """
     if size is None:
-        return element
-    return lambda k: element(k % size)
+        return lambda k: k
+    if size == 0:
+        return lambda k: -1
+    return lambda k: -1 if k < 0 else k % size
+
+
+def _reduce(size: int | None, ordinals: array) -> array:
+    """``ordinals`` under the relabel rule for a language of ``size``; infinite ones keep them."""
+    return ordinals if size is None else array("q", map(_reduction(size), ordinals))
 
 
 def _relabelled(lang: "LanguageRepr", ordinals: Iterable[int | Pause]) -> Iterator[Datum]:
     """``lang``'s text from a schedule: a pause (or -1) stays a pause, k becomes its k-th element."""
-    relabel = _relabel(lang)
+    reduce, element = _reduction(lang.size), lang.element
     for k in ordinals:
-        yield PAUSE if k is PAUSE or k < 0 else relabel(k)
+        k = -1 if k is PAUSE else reduce(k)
+        yield PAUSE if k < 0 else element(k)
 
 
 def _check_rate(value, what: str) -> None:
@@ -435,7 +444,7 @@ class Schedule:
     ``ordinals`` holds the ordinal at each drawn position, or -1 for a pause,
     as machine words. ``fate(lang)`` relabels it into ``lang``'s text, the
     same text as ``make_fate``'s, without drawing the strategy's randomness
-    again.
+    again; ``key(lang)`` tells which schedules give ``lang`` the same text.
     """
 
     source: Fate
@@ -446,12 +455,26 @@ class Schedule:
         """The first ``n`` positions of ``source``, a fate over ``NATURALS``."""
         return cls(source, array("q", _ordinals(source.prefix(n))))
 
+    def key(self, lang: "LanguageRepr") -> bytes:
+        """``lang``'s text over the drawn positions, compactly: the relabel rule's reduced ordinals.
+
+        ``text`` reads the text back off its key, so schedules with equal keys
+        for ``lang`` give ``lang`` the same text up to their drawn length.
+        """
+        return _reduce(lang.size, self.ordinals).tobytes()
+
+    @staticmethod
+    def text(lang: "LanguageRepr", key: bytes) -> tuple[Datum, ...]:
+        """The data a key of ``lang`` stands for: -1 is a pause, r is ``lang``'s r-th element."""
+        element = lang.element
+        return tuple([PAUSE if r < 0 else element(r) for r in array("q", key)])
+
     def fate(self, lang: "LanguageRepr") -> Fate:
-        """``lang``'s text: the drawn ordinals, then ``source`` re-streamed past them, relabelled."""
-        ordinals, source = self.ordinals, self.source
+        """``lang``'s text, relabelled on every read: its key's ``text``, then ``source`` past it."""
+        key, drawn, source = self.key(lang), len(self.ordinals), self.source
 
         def stream() -> Iterator[Datum]:
-            rest = islice(source.stream_factory(), len(ordinals), None)
-            return _relabelled(lang, chain(ordinals, rest))
+            rest = islice(source.stream_factory(), drawn, None)
+            return chain(self.text(lang, key), _relabelled(lang, rest))
 
         return Fate(stream, lang)

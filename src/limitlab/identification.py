@@ -12,10 +12,10 @@ import csv
 import io
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import NATURALS, Datum, Experience, Fate, Schedule, TextStrategy, is_pause, make_fate
-from .families import Equality, LanguageRepr
+from .families import Equality, LanguageFamily, LanguageRepr
 from .scientists import Scientist
 from .schemas import Verdict, change_verdict
 
@@ -81,9 +81,11 @@ class IdentificationVerdict:
         return self.outcome is Outcome.IDENTIFIED
 
     def label(self) -> str:
-        if self.reason is None:
-            return self.outcome.value
-        return f"{self.outcome.value}({self.reason})"
+        return _label(self.outcome, self.reason)
+
+
+def _label(outcome: Outcome, reason: str | None) -> str:
+    return outcome.value if reason is None else f"{outcome.value}({reason})"
 
 
 def _check_horizon(horizon: int) -> None:
@@ -91,30 +93,42 @@ def _check_horizon(horizon: int) -> None:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
-def _walk(scientist: Scientist, fate: Fate, horizon: int, ahead: int = 0) -> tuple:
-    """The fate's first ``horizon + ahead`` data, and the conjecture on each prefix ``data[:n]``.
+def _walk(scientist: Scientist, data: tuple) -> Iterator[int]:
+    """The conjecture on each prefix ``data[:n]``, for n from 0 through ``len(data)``.
 
     The one prefix replay: every limit check reads its hypothesis sequence here.
     """
-    _check_horizon(horizon)
-    data = fate.prefix(horizon + ahead).items
-    return data, tuple(scientist.conjecture(Experience(data[:n])) for n in range(len(data) + 1))
+    conjecture = scientist.conjecture
+    return (conjecture(Experience(data[:n])) for n in range(len(data) + 1))
+
+
+def _settle(indices: Iterable[int]) -> tuple[int | None, int | None]:
+    """The last step whose index differs from its predecessor's (None if none), and the settled one.
+
+    The settled index is the final index, or None if it changed at the last step:
+    a walk stabilized iff no change happened at the horizon itself.
+    """
+    indices = iter(indices)
+    final = next(indices)
+    last_change = None
+    n = 0
+    for n, index in enumerate(indices, 1):
+        if index != final:
+            last_change, final = n, index
+    return last_change, None if last_change == n else final
 
 
 def converges_at(scientist: Scientist, fate: Fate, horizon: int) -> ConvergenceReport:
     """Evaluate the scientist on every prefix up to the horizon."""
-    _, trace = _walk(scientist, fate, horizon)
-    last_change = None
-    for n in range(1, horizon + 1):
-        if trace[n] != trace[n - 1]:
-            last_change = n
-    stabilized = last_change is None or last_change < horizon
+    _check_horizon(horizon)
+    trace = tuple(_walk(scientist, fate.prefix(horizon).items))
+    last_change, settled = _settle(trace)
     return ConvergenceReport(
         horizon=horizon,
         trace=trace,
         last_change_step=last_change,
-        stabilized=stabilized,
-        stabilized_index=trace[-1] if stabilized else None,
+        stabilized=settled is not None,
+        stabilized_index=settled,
     )
 
 
@@ -124,19 +138,23 @@ def _require_platonic(fate: Fate) -> LanguageRepr:
     return fate.platonic
 
 
-def _verdict(
-    final: Equality, report: ConvergenceReport, settle: int | None = None
-) -> IdentificationVerdict:
-    """The verdict from the final index's comparison with the platonic language.
+def _final(family: LanguageFamily, lang: LanguageRepr, settled: int | None) -> Equality | None:
+    """The settled index's comparison with ``lang``, or None if the conjecture did not stabilize."""
+    return None if settled is None else family.compare_index_with(settled, lang)
 
-    ``settle`` is the first step of the closing run of provably-equal indices;
-    only an identified verdict carries it.
+
+def _verdict(final: Equality | None) -> tuple[Outcome, str | None]:
+    """The outcome and reason from the final index's comparison with the platonic language.
+
+    ``final`` is None when the conjecture did not stabilize.
     """
+    if final is None:
+        return Outcome.NOT_IDENTIFIED, "no-stabilization"
     if final is Equality.EQUAL:
-        return IdentificationVerdict(Outcome.IDENTIFIED, None, report, settle)
+        return Outcome.IDENTIFIED, None
     if final is Equality.NOT_EQUAL:
-        return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "wrong-language", report)
-    return IdentificationVerdict(Outcome.INDETERMINATE, "equality-unknown", report)
+        return Outcome.NOT_IDENTIFIED, "wrong-language"
+    return Outcome.INDETERMINATE, "equality-unknown"
 
 
 def identifies_text(
@@ -145,9 +163,8 @@ def identifies_text(
     """Identified iff the conjecture stabilized on an index denoting the platonic language."""
     platonic = _require_platonic(fate)
     report = converges_at(scientist, fate, horizon)
-    if not report.stabilized:
-        return IdentificationVerdict(Outcome.NOT_IDENTIFIED, "no-stabilization", report)
-    return _verdict(scientist.family.compare_index_with(report.stabilized_index, platonic), report)
+    final = _final(scientist.family, platonic, report.stabilized_index)
+    return IdentificationVerdict(*_verdict(final), report)
 
 
 def bc_converges_at(
@@ -172,7 +189,9 @@ def bc_converges_at(
         if same is not Equality.EQUAL:
             break
         settle -= 1
-    return _verdict(final, report, settle)
+    outcome, reason = _verdict(final)
+    identified = outcome is Outcome.IDENTIFIED
+    return IdentificationVerdict(outcome, reason, report, settle if identified else None)
 
 
 @dataclass(frozen=True)
@@ -218,36 +237,47 @@ def identify_class(
     seeds: Sequence[int],
     horizon: int,
 ) -> ExperimentTable:
-    """Run identifies_text over every (language, strategy, seed) cell.
+    """The identifies_text verdict of every (language, strategy, seed) cell.
 
     Rows are ordered by the input iteration order, never by completion order:
     languages, then strategies, then seeds. A text is its strategy's schedule
-    relabelled, and a schedule sees no language, so the cells run
-    (strategy, seed)-major: each schedule is drawn once, held alone, and
-    relabelled for every language. An empty class is vacuous, but a class
-    with no strategy or no seed has no text to run and raises ValueError.
+    relabelled, and a schedule sees no language, so each (strategy, seed)
+    schedule is drawn once, up front, and relabelled for every language.
+
+    Cells that share a text share a walk. Within one language, two schedules
+    with the same key (``Schedule.key``) give the same text up to the horizon;
+    a scientist is a deterministic map from experiences to indices, so the two
+    cells have the same hypothesis sequence and the same row. Each distinct
+    text is walked once, keeping only its verdict and last change step, never
+    its trace. The memo ends with its language, and nothing is kept between
+    calls. The schedules and one language's keys are held at once, so memory
+    grows as Θ(texts × horizon), 8 bytes per position of each. An empty class
+    is vacuous, but a class with no strategy or no seed has no text to run and
+    raises ValueError.
     """
+    _check_horizon(horizon)
     languages = list(languages)
     if not strategies or not seeds:
         raise ValueError("identify_class needs at least one strategy and one seed")
     if not languages:
         return ExperimentTable(rows=(), horizon=horizon)
-    _check_horizon(horizon)
-    described = [lang.describe() for lang in languages]
-    texts = [(strategy, seed) for strategy in strategies for seed in seeds]
-    rows: list = [None] * (len(languages) * len(texts))
-    for t, (strategy, seed) in enumerate(texts):
-        schedule = Schedule.draw(make_fate(NATURALS, strategy, seed), horizon)
-        for i, lang in enumerate(languages):
-            verdict = identifies_text(scientist, schedule.fate(lang), horizon)
-            rows[i * len(texts) + t] = ExperimentRow(
-                language=described[i],
-                strategy=str(strategy),
-                seed=seed,
-                horizon=horizon,
-                verdict=verdict.label(),
-                last_change_step=verdict.report.last_change_step,
-            )
+    texts = [
+        (str(strategy), seed, Schedule.draw(make_fate(NATURALS, strategy, seed), horizon))
+        for strategy in strategies
+        for seed in seeds
+    ]
+    family = scientist.family
+    rows = []
+    for lang in languages:
+        described = lang.describe()
+        walked: dict = {}
+        for label, seed, schedule in texts:
+            key = schedule.key(lang)
+            if key not in walked:
+                last_change, settled = _settle(_walk(scientist, Schedule.text(lang, key)))
+                walked[key] = (_label(*_verdict(_final(family, lang, settled))), last_change)
+            verdict, last_change = walked[key]
+            rows.append(ExperimentRow(described, label, seed, horizon, verdict, last_change))
     return ExperimentTable(rows=tuple(rows), horizon=horizon)
 
 
@@ -280,7 +310,9 @@ def transformation_trace(
     exactly as the schemas would compute them on ``Situation(scientist,
     data[:n])``.
     """
-    data, indices = _walk(scientist, fate, horizon, ahead=1)
+    _check_horizon(horizon)
+    data = fate.prefix(horizon + 1).items
+    indices = tuple(_walk(scientist, data))
     family = scientist.family
     seen: set = set()
     steps = []

@@ -334,6 +334,57 @@ def test_a_relabelled_schedule_is_the_languages_own_text(strategy, lang, seed, n
 
 
 # ---------------------------------------------------------------------------
+# text keys: a schedule reduced by the relabel rule
+
+
+def _drawn(strategy, seed, n=32):
+    return Schedule.draw(make_fate(NATURALS, strategy, seed), n)
+
+
+@st.composite
+def keyed_languages(draw):
+    """Languages of 0, 1 and 2-5 members, and the special ones."""
+    name = draw(st.sampled_from(["finite", *LANGUAGES]))
+    if name in LANGUAGES:
+        return LANGUAGES[name](U)
+    size = draw(st.sampled_from([0, 1, 2, 3, 4, 5]))
+    ranks = draw(st.sets(st.integers(0, 40), min_size=size, max_size=size))
+    return finite_language(U, map(U.artefact, ranks))
+
+
+TEXTS = st.tuples(
+    st.sampled_from(sorted(TEXT_STRATEGIES)).flatmap(TEXT_STRATEGIES.get),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lang=keyed_languages(), first=TEXTS, second=TEXTS, n=st.integers(0, 40))
+def test_text_keys_are_equal_exactly_when_the_texts_are(lang, first, second, n):
+    one, other = _drawn(*first, n), _drawn(*second, n)
+    same_text = one.fate(lang).prefix(n) == other.fate(lang).prefix(n)
+    assert (one.key(lang) == other.key(lang)) == same_text
+
+
+SEEDS = (0, 1, 7, 2**64 - 1)
+
+
+def test_text_keys_are_shared_where_the_relabel_rule_forgets_the_schedule():
+    def keys(lang, texts):
+        return {_drawn(strategy, seed).key(lang) for strategy, seed in texts}
+
+    for lang in (EMPTY_LANG, TWO_FOUR, EVENS):
+        assert len(keys(lang, [(Canonical(), 0), (Canonical(), 2**64 - 1)])) == 1
+    every_text = [(strategy, seed) for strategy in ALL_STRATEGIES for seed in SEEDS]
+    assert len(keys(EMPTY_LANG, every_text)) == 1
+    singleton = finite_language(U, (art(5),))
+    windows = [(ShuffledWindow(w), seed) for w in (1, 3, 4) for seed in SEEDS]
+    assert len(keys(singleton, [(Canonical(), 0), *windows])) == 1
+    # Pauses count: a singleton's padded texts differ by seed.
+    assert len(keys(singleton, [(Padded(0.25), seed) for seed in SEEDS])) == len(SEEDS)
+
+
+# ---------------------------------------------------------------------------
 # universes and serialization
 
 

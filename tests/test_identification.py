@@ -6,6 +6,8 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     U,
@@ -22,6 +24,7 @@ from helpers import (
 )
 from limitlab import (
     INDETERMINATE,
+    NATURALS,
     SCIENTISTS,
     Canonical,
     Equality,
@@ -29,6 +32,7 @@ from limitlab import (
     Outcome,
     Padded,
     RepetitionHeavy,
+    Schedule,
     Scientist,
     ShuffledWindow,
     all_language,
@@ -345,6 +349,12 @@ def test_empty_class_is_vacuously_identifiable():
     assert identify_class(memorizer(FAM), [], [Canonical()], [0], sys.maxsize - 1).rows == ()
 
 
+@pytest.mark.parametrize("languages", [[], [finite(2)]])
+def test_identify_class_checks_the_horizon_of_any_class(languages):
+    with pytest.raises(ValueError, match="horizon must be >= 1, got -5"):
+        identify_class(memorizer(FAM), languages, [Canonical()], [0], -5)
+
+
 @pytest.mark.parametrize("strategies, seeds", [([], [0]), ([Canonical()], []), ([], [])])
 def test_a_class_without_strategies_or_seeds_is_refused(strategies, seeds):
     with pytest.raises(ValueError, match="at least one strategy and one seed"):
@@ -363,6 +373,61 @@ def test_identify_class_matches_the_per_cell_reference(name):
     seeds = [0, 2**64 - 1, 0, 9]
     table = identify_class(scientist, languages, strategies, seeds, horizon=12)
     assert table == reference_identify_class(scientist, languages, strategies, seeds, 12)
+
+
+PLAIN = standard_family(oracle=False)
+GRID_LANGUAGES = [finite(), finite(2), finite(1, 5), finite(3, 4, 9), EVENS, ODDS, all_language(U)]
+GRID_STRATEGIES = [
+    Canonical(), Padded(0.25), Padded(0), ShuffledWindow(1), ShuffledWindow(3), RepetitionHeavy(0.5),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SCIENTISTS)),
+    family=st.sampled_from([FAM, PLAIN]),
+    languages=st.lists(st.sampled_from(GRID_LANGUAGES), min_size=1, max_size=4).map(
+        lambda langs: langs + langs[:1]
+    ),
+    strategies=st.lists(st.sampled_from(GRID_STRATEGIES), min_size=1, max_size=3),
+    seeds=st.lists(st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+                   min_size=1, max_size=3),
+    horizon=st.integers(1, 12),
+)
+def test_identify_class_matches_the_per_cell_reference_on_random_grids(
+    name, family, languages, strategies, seeds, horizon
+):
+    # Without an oracle, evens against odds or all is undecided: Indeterminate rows.
+    scientist = build_scientist(name, family)
+    table = identify_class(scientist, languages, strategies, seeds, horizon)
+    assert table == reference_identify_class(scientist, languages, strategies, seeds, horizon)
+
+
+def test_identify_class_walks_each_languages_distinct_texts_once():
+    calls = []
+    base = memorizer(FAM).conjecture
+
+    def conjecture(sigma):
+        calls.append(len(sigma))
+        return base(sigma)
+
+    scientist = Scientist("counted", FAM, conjecture)
+    languages = [finite(), finite(2), finite(1, 5), EVENS]
+    strategies = [Canonical(), ShuffledWindow(3), Padded(0.25)]
+    seeds = [0, 1, 2]
+    schedules = [
+        Schedule.draw(make_fate(NATURALS, strategy, seed), 16)
+        for strategy in strategies
+        for seed in seeds
+    ]
+    distinct = sum(len({s.key(lang) for s in schedules}) for lang in languages)
+    # {} has one text; {2} gets canonical's text from every window.
+    assert distinct < len(languages) * len(schedules)
+    for _ in range(2):  # nothing is kept between calls
+        calls.clear()
+        table = identify_class(scientist, languages, strategies, seeds, 16)
+        assert len(calls) == distinct * 17
+    assert table == reference_identify_class(scientist, languages, strategies, seeds, 16)
 
 
 def test_identify_class_draws_each_text_once_per_call(monkeypatch):

@@ -1,0 +1,187 @@
+"""Write BENCH_grid_texts.json: ``grid``, ``trace`` and ``bc`` of a parent checkout against this.
+
+    python3 tools/bench_grid_texts.py PARENT_DIR
+
+PARENT_DIR is a checkout of the parent commit (``git archive`` or ``git
+clone``). Each side runs its own ``bench/run.py`` in a fresh process:
+
+- alternating untraced pairs of each of ``grid``, ``trace`` and ``bc``, the
+  parent first in even pairs. ``grid`` carries the claimed gain; ``trace``
+  and ``bc`` run the rewritten prefix walk and relabel rule too
+  (``transformation_trace``, ``converges_at``, ``make_fate``), so they are
+  checked for regressions;
+- one untraced ``--workload all`` pair, for the metrics of every workload;
+- one traced ``grid`` pair, for the per-layer counts;
+- the tracemalloc peak of one ``identify_class`` call, at 3 and at 100 seeds.
+
+A metric is "unresolved" on a workload when either side's interquartile
+range exceeds the metric's declared bound, relative to that side's median,
+unless every run of the change reads better than every run of the parent.
+
+The file is written at the root of this checkout. It takes about 35 minutes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+CHANGE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("grid", "trace", "bc")
+PAIRS = 10
+SEEDS = range(1701, 1701 + PAIRS)
+ALL_SEED = 1711
+TRACED_SEED = 0
+SECONDS = 25
+PEAK_SEEDS = (3, 100)
+COUNTS = (
+    "scientists.conjecture_calls",
+    "scientists.conjecture_items",
+    "scientists.replay_ratio",
+    "core.fate_prefix_calls",
+    "core.fate_data",
+    "identification.converges_calls",
+    "identification.cells",
+    "families.compare_calls",
+)
+PEAK_CALL = """
+import sys, tracemalloc
+sys.path.insert(0, "src")
+from limitlab import (Canonical, LanguageFamily, Padded, ShuffledWindow, decimal_universe,
+                      evens_language, identify_class, memorizer, odds_language, registry_oracle,
+                      resolve_language)
+u = decimal_universe()
+evens, odds = evens_language(u), odds_language(u)
+family = LanguageFamily(u, (evens, odds), registry_oracle())
+languages = [evens, odds, resolve_language("{1,5,9}", u)]
+tracemalloc.start()
+identify_class(memorizer(family), languages, [Canonical(), Padded(0.25), ShuffledWindow(4)],
+               range(int(sys.argv[1])), 3000)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def bench(side: Path, *args: str) -> dict:
+    """The last line of one ``bench/run.py`` run: its JSON result."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", *args], cwd=side,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def pair(parent: Path, parent_first: bool, *args: str) -> dict:
+    order = [("parent", parent), ("change", CHANGE)]
+    if not parent_first:
+        order.reverse()
+    return {name: bench(side, *args) for name, side in order}
+
+
+def src_digest(side: Path) -> str:
+    """SHA-256 over the paths and bytes of every file under ``src/limitlab``."""
+    h = hashlib.sha256()
+    for path in sorted((side / "src" / "limitlab").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def values(result: dict) -> dict:
+    """A ``bench/run.py`` result's metrics, name to value."""
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def summary(runs: list, declared: dict) -> dict:
+    """Medians, quartiles and pair wins of each end-to-end metric over ``runs``' pairs."""
+    out = {}
+    for name, (direction, bound) in declared.items():
+        sides = {s: [r[s][name] for r in runs] for s in ("parent", "change")}
+        medians = {s: statistics.median(v) for s, v in sides.items()}
+        quartiles = {s: statistics.quantiles(v, n=4)[::2] for s, v in sides.items()}
+        spread = {s: (q[1] - q[0]) / abs(medians[s]) for s, q in quartiles.items()}
+        sign = 1 if direction == "higher" else -1
+        separated = min(sign * c for c in sides["change"]) > max(sign * p for p in sides["parent"])
+        out[name] = {
+            "parent_median": medians["parent"],
+            "parent_quartiles": quartiles["parent"],
+            "change_median": medians["change"],
+            "change_quartiles": quartiles["change"],
+            "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(*sides.values())),
+            "change_worse_by": sign * (medians["parent"] - medians["change"])
+            / abs(medians["parent"]),
+            "bound": bound,
+            "unresolved": max(spread.values()) > bound and not separated,
+        }
+    return out
+
+
+def peak_bytes(side: Path, seeds: int) -> int:
+    done = subprocess.run([sys.executable, "-c", PEAK_CALL, str(seeds)], cwd=side,
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout)
+
+
+def main(parent: Path) -> None:
+    declared = json.loads((CHANGE / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in declared["end_to_end"]}
+    runs: dict = {}
+    failed = 0
+    for workload in WORKLOADS:
+        runs[workload] = []
+        for i, seed in enumerate(SEEDS):
+            args = ("--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS),
+                    "--trace", "0")
+            both = pair(parent, i % 2 == 0, *args)
+            failed += sum(r["failed"] for r in both.values())
+            runs[workload].append({"seed": seed, **{s: values(r) for s, r in both.items()}})
+            print(f"{workload} pair {i + 1}/{PAIRS} done", file=sys.stderr)
+    every = pair(parent, True, "--workload", "all", "--seed", str(ALL_SEED),
+                 "--seconds", str(SECONDS), "--trace", "0")
+    traced = pair(parent, True, "--workload", "grid", "--seed", str(TRACED_SEED),
+                  "--seconds", "8", "--trace", "1")
+    record = {
+        "what": "limitlab grid workload: identify_class walks each language's distinct texts "
+                "once (cells whose schedules reduce to the same key share one walk); trace and "
+                "bc, which share the prefix walk and the relabel rule, checked for regressions",
+        "command": "python3 bench/run.py --workload WORKLOAD --seed SEED "
+                   f"--seconds {SECONDS} --trace 0",
+        "protocol": f"{PAIRS} pairs per workload on seeds {SEEDS.start}-{SEEDS.stop - 1}, one "
+                    "fresh process per run, sides alternating which runs first (parent first in "
+                    "even pairs); quartiles are statistics.quantiles(n=4); 'change_worse_by' is "
+                    "the change median's shortfall relative to the parent median (negative: "
+                    "better); 'unresolved' means a side's interquartile range exceeds the bound "
+                    "relative to its median, and not every change run beats every parent run. "
+                    "'no_regression' is one "
+                    f"--workload all pair on seed {ALL_SEED}, 'traced' one --workload grid "
+                    f"--seed {TRACED_SEED} --seconds 8 --trace 1 pair (parent first in both). "
+                    "'tracemalloc_peak_bytes' is the peak of identify_class(memorizer, "
+                    "[evens, odds, {1,5,9}], [canonical, padded(0.25), shuffled-window(4)], "
+                    "SEEDS, 3000) in a fresh process, for seeds 0-2 and for seeds 0-99",
+        "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
+        "python": platform.python_version(),
+        "src_sha256": {"parent": src_digest(parent), "change": src_digest(CHANGE)},
+        "summary": {w: summary(runs[w], metrics) for w in WORKLOADS},
+        "failed_jobs": failed + sum(r["failed"] for r in every.values()),
+        "runs": runs,
+        "no_regression": {s: values(r) for s, r in every.items()},
+        "traced": {s: {k: values(r)[k] for k in COUNTS} for s, r in traced.items()},
+        "tracemalloc_peak_bytes": {
+            f"seeds_0-{seeds - 1}": {"parent": peak_bytes(parent, seeds),
+                                     "change": peak_bytes(CHANGE, seeds)}
+            for seeds in PEAK_SEEDS
+        },
+    }
+    out = CHANGE / "BENCH_grid_texts.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(Path(sys.argv[1]).resolve())
