@@ -15,7 +15,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass, fields
-from itertools import chain, count, islice, repeat
+from itertools import count, islice, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, NamedTuple
 
@@ -224,9 +224,7 @@ class Fate:
     ``stream_factory`` returns a fresh infinite iterator on every call, so
     repeated reads of the same index always agree and fates stay observably
     pure without shared mutable state; the sequence itself is never stored.
-    A fate from ``make_fate`` or ``Schedule.fate`` relabels a strategy's
-    schedule on every read; ``Schedule.fate`` shares the drawn part of it
-    with the fates of other languages.
+    A fate from ``make_fate`` relabels a strategy's schedule on every read.
     """
 
     stream_factory: Callable[[], Iterator[Datum]]
@@ -294,11 +292,6 @@ def _reduction(size: int | None) -> Callable[[int], int]:
     if size == 0:
         return lambda k: -1
     return lambda k: -1 if k < 0 else k % size
-
-
-def _reduce(size: int | None, ordinals: array) -> array:
-    """``ordinals`` under the relabel rule for a language of ``size``; infinite ones keep them."""
-    return ordinals if size is None else array("q", map(_reduction(size), ordinals))
 
 
 def _relabelled(lang: "LanguageRepr", ordinals: Iterable[int | Pause]) -> Iterator[Datum]:
@@ -441,40 +434,51 @@ def _ordinals(data: Iterable) -> Iterator[int]:
 class Schedule:
     """A strategy's schedule (its text over ``NATURALS``), its first positions drawn once.
 
-    ``ordinals`` holds the ordinal at each drawn position, or -1 for a pause,
-    as machine words. ``fate(lang)`` relabels it into ``lang``'s text, the
-    same text as ``make_fate``'s, without drawing the strategy's randomness
-    again; ``key(lang)`` tells which schedules give ``lang`` the same text.
+    ``drawn`` holds the ordinal at each drawn position, or -1 for a pause, as
+    native 8-byte words. ``key(size)`` reduces it by the relabel rule for a
+    language of that size, and ``reader(lang)`` reads ``lang``'s text off such
+    a key: the same text as ``make_fate``'s, without drawing the strategy's
+    randomness again.
     """
 
-    source: Fate
-    ordinals: array
+    drawn: bytes
 
     @classmethod
     def draw(cls, source: Fate, n: int) -> Schedule:
         """The first ``n`` positions of ``source``, a fate over ``NATURALS``."""
-        return cls(source, array("q", _ordinals(source.prefix(n))))
+        return cls(array("q", _ordinals(source.prefix(n))).tobytes())
 
-    def key(self, lang: "LanguageRepr") -> bytes:
-        """``lang``'s text over the drawn positions, compactly: the relabel rule's reduced ordinals.
+    def key(self, size: int | None) -> bytes:
+        """The text of a language of ``size`` over the drawn positions, compactly.
 
-        ``text`` reads the text back off its key, so schedules with equal keys
-        for ``lang`` give ``lang`` the same text up to their drawn length.
+        The relabel rule's reduced ordinals, one byte each for at most 128
+        members (they run from -1 to size - 1), else eight. An infinite
+        language keeps every ordinal, so its key is ``drawn`` itself. Schedules
+        with equal keys for a size give every language of that size the same
+        text up to their drawn length.
         """
-        return _reduce(lang.size, self.ordinals).tobytes()
+        if size is None:
+            return self.drawn
+        ordinals = memoryview(self.drawn).cast("q")
+        return array(_key_code(size), map(_reduction(size), ordinals)).tobytes()
 
     @staticmethod
-    def text(lang: "LanguageRepr", key: bytes) -> tuple[Datum, ...]:
-        """The data a key of ``lang`` stands for: -1 is a pause, r is ``lang``'s r-th element."""
-        element = lang.element
-        return tuple([PAUSE if r < 0 else element(r) for r in array("q", key)])
+    def reader(lang: "LanguageRepr") -> Callable[[bytes], tuple[Datum, ...]]:
+        """``lang``'s text from its key: -1 is a pause, r is ``lang``'s r-th element.
 
-    def fate(self, lang: "LanguageRepr") -> Fate:
-        """``lang``'s text, relabelled on every read: its key's ``text``, then ``source`` past it."""
-        key, drawn, source = self.key(lang), len(self.ordinals), self.source
+        A finite language reads its members from a table built once, with the
+        pause last so that -1 lands on it.
+        """
+        code = _key_code(lang.size)
+        if lang.size is None:
+            element = lang.element
+            return lambda key: tuple(
+                [PAUSE if r < 0 else element(r) for r in memoryview(key).cast(code)]
+            )
+        table = (*map(lang.element, range(lang.size)), PAUSE)
+        return lambda key: tuple(map(table.__getitem__, memoryview(key).cast(code)))
 
-        def stream() -> Iterator[Datum]:
-            rest = islice(source.stream_factory(), drawn, None)
-            return chain(self.text(lang, key), _relabelled(lang, rest))
 
-        return Fate(stream, lang)
+def _key_code(size: int | None) -> str:
+    """The array type code of a key for a language of ``size``: bytes up to 128 members."""
+    return "q" if size is None or size > 128 else "b"

@@ -12,6 +12,7 @@ import csv
 import io
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .core import NATURALS, Datum, Experience, Fate, Schedule, TextStrategy, is_pause, make_fate
@@ -244,16 +245,19 @@ def identify_class(
     relabelled, and a schedule sees no language, so each (strategy, seed)
     schedule is drawn once, up front, and relabelled for every language.
 
-    Cells that share a text share a walk. Within one language, two schedules
-    with the same key (``Schedule.key``) give the same text up to the horizon;
-    a scientist is a deterministic map from experiences to indices, so the two
-    cells have the same hypothesis sequence and the same row. Each distinct
-    text is walked once, keeping only its verdict and last change step, never
-    its trace. The memo ends with its language, and nothing is kept between
-    calls. The schedules and one language's keys are held at once, so memory
-    grows as Θ(texts × horizon), 8 bytes per position of each. An empty class
-    is vacuous, but a class with no strategy or no seed has no text to run and
-    raises ValueError.
+    Cells that share a text share a walk. A key (``Schedule.key``) depends on
+    a language's size alone, so each schedule is reduced once per distinct
+    size, languages are visited size by size, and each language's rows go to
+    its input-order slot. Within one language, two schedules with the same key
+    give the same text up to the horizon; a scientist is a deterministic map
+    from experiences to indices, so the two cells have the same hypothesis
+    sequence and the same row. Each distinct text is walked once, keeping only
+    its verdict and last change step, never its trace. The memo ends with its
+    language, and nothing is kept between calls. A finite language of at most
+    128 members takes one byte per position of key, and an infinite one's keys
+    are the schedules themselves. Memory is the schedules, at 8 bytes per
+    position, plus one size's distinct keys. An empty class is vacuous, but a
+    class with no strategy or no seed has no text to run and raises ValueError.
     """
     _check_horizon(horizon)
     languages = list(languages)
@@ -266,19 +270,27 @@ def identify_class(
         for strategy in strategies
         for seed in seeds
     ]
+    by_size: dict = {}
+    for slot, lang in enumerate(languages):
+        by_size.setdefault(lang.size, []).append(slot)
     family = scientist.family
-    rows = []
-    for lang in languages:
-        described = lang.describe()
-        walked: dict = {}
-        for label, seed, schedule in texts:
-            key = schedule.key(lang)
-            if key not in walked:
-                last_change, settled = _settle(_walk(scientist, Schedule.text(lang, key)))
-                walked[key] = (_label(*_verdict(_final(family, lang, settled))), last_change)
-            verdict, last_change = walked[key]
-            rows.append(ExperimentRow(described, label, seed, horizon, verdict, last_change))
-    return ExperimentTable(rows=tuple(rows), horizon=horizon)
+    rows: list = [None] * len(languages)
+    for size, slots in by_size.items():
+        interned: dict = {}  # equal keys share one object, so memory is the distinct keys
+        keys = [interned.setdefault(key, key) for key in (s.key(size) for *_, s in texts)]
+        for slot in slots:
+            lang = languages[slot]
+            described, text = lang.describe(), Schedule.reader(lang)
+            walked: dict = {}
+            for key in keys:
+                if key not in walked:
+                    last_change, settled = _settle(_walk(scientist, text(key)))
+                    walked[key] = (_label(*_verdict(_final(family, lang, settled))), last_change)
+            rows[slot] = [
+                ExperimentRow(described, label, seed, horizon, *walked[key])
+                for (label, seed, _), key in zip(texts, keys)
+            ]
+    return ExperimentTable(rows=tuple(chain.from_iterable(rows)), horizon=horizon)
 
 
 @dataclass(frozen=True)

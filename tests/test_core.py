@@ -323,14 +323,14 @@ def languages(draw):
 )
 def test_a_relabelled_schedule_is_the_languages_own_text(strategy, lang, seed, n):
     schedule = Schedule.draw(make_fate(NATURALS, strategy, seed), n)
-    assert len(schedule.ordinals) == n
-    shared, own = schedule.fate(lang), make_fate(lang, strategy, seed)
-    assert shared.platonic is lang and own.platonic is lang
-    # Up to the drawn horizon, and re-streamed past it.
+    assert len(schedule.drawn) == 8 * n
+    own = make_fate(lang, strategy, seed)
+    assert own.platonic is lang
+    expected = tuple(islice(reference_text(lang, strategy, seed), 3 * n + 1))
+    # The key's text up to the drawn horizon; make_fate's up to it and re-streamed past it.
+    assert Schedule.reader(lang)(schedule.key(lang.size)) == expected[:n]
     for length in (n, 3 * n + 1):
-        expected = Experience(tuple(islice(reference_text(lang, strategy, seed), length)))
-        assert own.prefix(length) == expected
-        assert shared.prefix(length) == expected
+        assert own.prefix(length) == Experience(expected[:length])
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +343,12 @@ def _drawn(strategy, seed, n=32):
 
 @st.composite
 def keyed_languages(draw):
-    """Languages of 0, 1 and 2-5 members, and the special ones."""
+    """Languages of 0, 1, 2-5 and 127-129 members (both key widths), and the special ones."""
     name = draw(st.sampled_from(["finite", *LANGUAGES]))
     if name in LANGUAGES:
         return LANGUAGES[name](U)
-    size = draw(st.sampled_from([0, 1, 2, 3, 4, 5]))
-    ranks = draw(st.sets(st.integers(0, 40), min_size=size, max_size=size))
+    size = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 127, 128, 129]))
+    ranks = draw(st.sets(st.integers(0, max(40, 2 * size + 42)), min_size=size, max_size=size))
     return finite_language(U, map(U.artefact, ranks))
 
 
@@ -362,8 +362,13 @@ TEXTS = st.tuples(
 @given(lang=keyed_languages(), first=TEXTS, second=TEXTS, n=st.integers(0, 40))
 def test_text_keys_are_equal_exactly_when_the_texts_are(lang, first, second, n):
     one, other = _drawn(*first, n), _drawn(*second, n)
-    same_text = one.fate(lang).prefix(n) == other.fate(lang).prefix(n)
-    assert (one.key(lang) == other.key(lang)) == same_text
+    same_text = make_fate(lang, *first).prefix(n) == make_fate(lang, *second).prefix(n)
+    key = one.key(lang.size)
+    assert (key == other.key(lang.size)) == same_text
+    if lang.size is None:
+        assert key is one.drawn  # an infinite language's key is the schedule, not a copy
+    else:
+        assert len(key) == n * (1 if lang.size <= 128 else 8)
 
 
 SEEDS = (0, 1, 7, 2**64 - 1)
@@ -371,7 +376,7 @@ SEEDS = (0, 1, 7, 2**64 - 1)
 
 def test_text_keys_are_shared_where_the_relabel_rule_forgets_the_schedule():
     def keys(lang, texts):
-        return {_drawn(strategy, seed).key(lang) for strategy, seed in texts}
+        return {_drawn(strategy, seed).key(lang.size) for strategy, seed in texts}
 
     for lang in (EMPTY_LANG, TWO_FOUR, EVENS):
         assert len(keys(lang, [(Canonical(), 0), (Canonical(), 2**64 - 1)])) == 1

@@ -376,7 +376,11 @@ def test_identify_class_matches_the_per_cell_reference(name):
 
 
 PLAIN = standard_family(oracle=False)
-GRID_LANGUAGES = [finite(), finite(2), finite(1, 5), finite(3, 4, 9), EVENS, ODDS, all_language(U)]
+# Repeated sizes (1, 2) and one language of 130 members, past one-byte keys.
+GRID_LANGUAGES = [
+    finite(), finite(2), finite(7), finite(1, 5), finite(3, 9), finite(3, 4, 9),
+    finite(*range(0, 260, 2)), EVENS, ODDS, all_language(U),
+]
 GRID_STRATEGIES = [
     Canonical(), Padded(0.25), Padded(0), ShuffledWindow(1), ShuffledWindow(3), RepetitionHeavy(0.5),
 ]
@@ -412,7 +416,8 @@ def test_identify_class_walks_each_languages_distinct_texts_once():
         return base(sigma)
 
     scientist = Scientist("counted", FAM, conjecture)
-    languages = [finite(), finite(2), finite(1, 5), EVENS]
+    # Sizes 2, 1, 2, 0, 1, infinite: equal-size languages share keys, not walks.
+    languages = [finite(1, 5), finite(2), finite(3, 9), finite(), finite(7), EVENS]
     strategies = [Canonical(), ShuffledWindow(3), Padded(0.25)]
     seeds = [0, 1, 2]
     schedules = [
@@ -420,13 +425,17 @@ def test_identify_class_walks_each_languages_distinct_texts_once():
         for strategy in strategies
         for seed in seeds
     ]
-    distinct = sum(len({s.key(lang) for s in schedules}) for lang in languages)
-    # {} has one text; {2} gets canonical's text from every window.
+    distinct = sum(len({s.key(lang.size) for s in schedules}) for lang in languages)
+    # {} has one text; {2} and {7} get canonical's text from every window.
     assert distinct < len(languages) * len(schedules)
     for _ in range(2):  # nothing is kept between calls
         calls.clear()
         table = identify_class(scientist, languages, strategies, seeds, 16)
         assert len(calls) == distinct * 17
+    # Rows come back in input order, whatever order the sizes are visited in.
+    assert [row.language for row in table.rows[:: len(schedules)]] == [
+        lang.describe() for lang in languages
+    ]
     assert table == reference_identify_class(scientist, languages, strategies, seeds, 16)
 
 

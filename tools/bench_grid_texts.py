@@ -1,24 +1,27 @@
-"""Write BENCH_grid_texts.json: ``grid``, ``trace`` and ``bc`` of a parent checkout against this.
+"""Write a grid claim's evidence: ``grid``, ``trace`` and ``bc`` of a parent checkout against this.
 
-    python3 tools/bench_grid_texts.py PARENT_DIR
+    python3 tools/bench_grid_texts.py PARENT_DIR OUT_FILE WHAT
 
 PARENT_DIR is a checkout of the parent commit (``git archive`` or ``git
-clone``). Each side runs its own ``bench/run.py`` in a fresh process:
+clone``). OUT_FILE is the name of the JSON file written at the root of this
+checkout, one per claim (``BENCH_grid_texts.json``, ``BENCH_grid_keys.json``),
+and WHAT its one-line ``what`` text. Each side runs its own ``bench/run.py``
+in a fresh process:
 
 - alternating untraced pairs of each of ``grid``, ``trace`` and ``bc``, the
   parent first in even pairs. ``grid`` carries the claimed gain; ``trace``
-  and ``bc`` run the rewritten prefix walk and relabel rule too
-  (``transformation_trace``, ``converges_at``, ``make_fate``), so they are
-  checked for regressions;
-- one untraced ``--workload all`` pair, for the metrics of every workload;
+  and ``bc`` are checked for regressions;
+- alternating untraced ``--workload all`` pairs, for the metrics of every
+  workload;
 - one traced ``grid`` pair, for the per-layer counts;
-- the tracemalloc peak of one ``identify_class`` call, at 3 and at 100 seeds.
+- the tracemalloc peak of one ``identify_class`` call: of three languages at
+  3 and at 100 seeds, and of twelve languages of sizes 1-12 at 100 seeds.
 
 A metric is "unresolved" on a workload when either side's interquartile
 range exceeds the metric's declared bound, relative to that side's median,
 unless every run of the change reads better than every run of the parent.
 
-The file is written at the root of this checkout. It takes about 35 minutes.
+It takes about 40 minutes.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ CHANGE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid", "trace", "bc")
 PAIRS = 10
 SEEDS = range(1701, 1701 + PAIRS)
-ALL_SEED = 1711
+ALL_SEEDS = range(1711, 1714)
 TRACED_SEED = 0
 SECONDS = 25
-PEAK_SEEDS = (3, 100)
+# (languages, seeds) of each tracemalloc call; "three" is evens, odds and {1,5,9}.
+PEAKS = (("three", 3), ("three", 100), ("sizes", 100))
 COUNTS = (
     "scientists.conjecture_calls",
     "scientists.conjecture_items",
@@ -59,10 +63,13 @@ from limitlab import (Canonical, LanguageFamily, Padded, ShuffledWindow, decimal
 u = decimal_universe()
 evens, odds = evens_language(u), odds_language(u)
 family = LanguageFamily(u, (evens, odds), registry_oracle())
-languages = [evens, odds, resolve_language("{1,5,9}", u)]
+if sys.argv[1] == "three":
+    languages = [evens, odds, resolve_language("{1,5,9}", u)]
+else:  # one finite language of each size 1-12
+    languages = [resolve_language("{%s}" % ",".join(map(str, range(k))), u) for k in range(1, 13)]
 tracemalloc.start()
 identify_class(memorizer(family), languages, [Canonical(), Padded(0.25), ShuffledWindow(4)],
-               range(int(sys.argv[1])), 3000)
+               range(int(sys.argv[2])), 3000)
 print(tracemalloc.get_traced_memory()[1])
 """
 
@@ -120,13 +127,13 @@ def summary(runs: list, declared: dict) -> dict:
     return out
 
 
-def peak_bytes(side: Path, seeds: int) -> int:
-    done = subprocess.run([sys.executable, "-c", PEAK_CALL, str(seeds)], cwd=side,
+def peak_bytes(side: Path, languages: str, seeds: int) -> int:
+    done = subprocess.run([sys.executable, "-c", PEAK_CALL, languages, str(seeds)], cwd=side,
                           capture_output=True, text=True, check=True)
     return int(done.stdout)
 
 
-def main(parent: Path) -> None:
+def main(parent: Path, out_name: str, what: str) -> None:
     declared = json.loads((CHANGE / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in declared["end_to_end"]}
     runs: dict = {}
@@ -140,14 +147,15 @@ def main(parent: Path) -> None:
             failed += sum(r["failed"] for r in both.values())
             runs[workload].append({"seed": seed, **{s: values(r) for s, r in both.items()}})
             print(f"{workload} pair {i + 1}/{PAIRS} done", file=sys.stderr)
-    every = pair(parent, True, "--workload", "all", "--seed", str(ALL_SEED),
-                 "--seconds", str(SECONDS), "--trace", "0")
+    every = {
+        seed: pair(parent, i % 2 == 0, "--workload", "all", "--seed", str(seed),
+                   "--seconds", str(SECONDS), "--trace", "0")
+        for i, seed in enumerate(ALL_SEEDS)
+    }
     traced = pair(parent, True, "--workload", "grid", "--seed", str(TRACED_SEED),
                   "--seconds", "8", "--trace", "1")
     record = {
-        "what": "limitlab grid workload: identify_class walks each language's distinct texts "
-                "once (cells whose schedules reduce to the same key share one walk); trace and "
-                "bc, which share the prefix walk and the relabel rule, checked for regressions",
+        "what": what,
         "command": "python3 bench/run.py --workload WORKLOAD --seed SEED "
                    f"--seconds {SECONDS} --trace 0",
         "protocol": f"{PAIRS} pairs per workload on seeds {SEEDS.start}-{SEEDS.stop - 1}, one "
@@ -156,32 +164,38 @@ def main(parent: Path) -> None:
                     "the change median's shortfall relative to the parent median (negative: "
                     "better); 'unresolved' means a side's interquartile range exceeds the bound "
                     "relative to its median, and not every change run beats every parent run. "
-                    "'no_regression' is one "
-                    f"--workload all pair on seed {ALL_SEED}, 'traced' one --workload grid "
-                    f"--seed {TRACED_SEED} --seconds 8 --trace 1 pair (parent first in both). "
+                    f"'no_regression' is {len(ALL_SEEDS)} alternating --workload all pairs "
+                    f"on seeds {ALL_SEEDS.start}-{ALL_SEEDS.stop - 1}, 'traced' one --workload "
+                    f"grid --seed {TRACED_SEED} --seconds 8 --trace 1 pair (parent first). "
                     "'tracemalloc_peak_bytes' is the peak of identify_class(memorizer, "
-                    "[evens, odds, {1,5,9}], [canonical, padded(0.25), shuffled-window(4)], "
-                    "SEEDS, 3000) in a fresh process, for seeds 0-2 and for seeds 0-99",
+                    "LANGUAGES, [canonical, padded(0.25), shuffled-window(4)], SEEDS, 3000) in "
+                    "a fresh process: 'three' is LANGUAGES = [evens, odds, {1,5,9}], 'sizes' "
+                    "the finite languages {0}, {0,1}, ..., {0,...,11}",
         "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),
         "src_sha256": {"parent": src_digest(parent), "change": src_digest(CHANGE)},
         "summary": {w: summary(runs[w], metrics) for w in WORKLOADS},
-        "failed_jobs": failed + sum(r["failed"] for r in every.values()),
+        "failed_jobs": failed + sum(r["failed"] for both in every.values() for r in both.values()),
         "runs": runs,
-        "no_regression": {s: values(r) for s, r in every.items()},
+        "no_regression": [
+            {"seed": seed, **{s: values(r) for s, r in both.items()}}
+            for seed, both in every.items()
+        ],
         "traced": {s: {k: values(r)[k] for k in COUNTS} for s, r in traced.items()},
         "tracemalloc_peak_bytes": {
-            f"seeds_0-{seeds - 1}": {"parent": peak_bytes(parent, seeds),
-                                     "change": peak_bytes(CHANGE, seeds)}
-            for seeds in PEAK_SEEDS
+            f"{languages}_seeds_0-{seeds - 1}": {
+                "parent": peak_bytes(parent, languages, seeds),
+                "change": peak_bytes(CHANGE, languages, seeds),
+            }
+            for languages, seeds in PEAKS
         },
     }
-    out = CHANGE / "BENCH_grid_texts.json"
+    out = CHANGE / out_name
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 4:
         sys.exit(__doc__)
-    main(Path(sys.argv[1]).resolve())
+    main(Path(sys.argv[1]).resolve(), sys.argv[2], sys.argv[3])
