@@ -154,12 +154,13 @@ def enumeration_scientist(fam: LanguageFamily, class_order: Sequence[int]) -> Sc
         if isinstance(p, bool) or not isinstance(p, int) or p < 0:
             raise ValueError(f"class order entries must be indices >= 0, got {p!r}")
     fallback = memorizer(fam)
+    # Each entry's membership test, built once: a tail test is a bit test, no decode.
+    tests = tuple((p, fam.language_of(p).contains) for p in order)
 
     def conjecture(sigma: Experience) -> int:
         seen = sigma.content()
-        for p in order:
-            lang = fam.language_of(p)
-            if all(lang.contains(a) for a in seen):
+        for p, contains in tests:
+            if all(map(contains, seen)):
                 return p
         return fallback.conjecture(sigma)
 
@@ -372,6 +373,8 @@ def _build_enumeration(fam: LanguageFamily, params: dict) -> Scientist:
     specs = params.get("class_order")
     if specs is None:
         return enumeration_scientist(fam, _default_class_order(fam))
+    if not isinstance(specs, (list, tuple)):
+        raise ValueError(f"class_order must be a list, got {specs!r}")
     order = [
         fam.min_index_for(resolve_language(s, fam.universe)) if isinstance(s, str) else s
         for s in specs

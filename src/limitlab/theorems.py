@@ -9,12 +9,13 @@ append: only there can "transformative implies novel" fail.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import product
 
 from .core import PAUSE, Artefact, Experience, Universe, derived_rng
 from .families import LanguageFamily, family_from_config
-from .sampling import ranked_artefacts, sample_experience_over, sample_member
+from .sampling import ranked_artefacts, sample_cases
 from .scientists import (
     SCIENTISTS,
     Scientist,
@@ -126,6 +127,12 @@ def _sweep(fleet: list[Scientist], universe: Universe, max_len: int) -> int:
     return cases
 
 
+def _sample(fleet: list[Scientist], artefacts: tuple, rng: random.Random, trials: int) -> None:
+    """Check ``trials`` random (scientist, experience, artefact) cases drawn from ``rng``."""
+    for scientist, sigma, a in sample_cases(rng, fleet, artefacts, trials):
+        _require_novel_if_transformative(scientist, sigma, a)
+
+
 def _set_driven_fleet(fam: LanguageFamily) -> list[Scientist]:
     """Memorizer, dumb visionaries, and the set-driven wrap of every registered base."""
     fleet = [
@@ -154,12 +161,7 @@ def set_driven_novelty_property(trials: int = 10_000, seed: int = 0) -> WitnessR
     u = fam.universe
     fleet = _set_driven_fleet(fam)
     exhaustive = _sweep(fleet, u, 3)
-    rng = derived_rng("set-driven-novelty", seed)
-    artefacts = ranked_artefacts(u)
-    for _ in range(trials):
-        scientist = sample_member(rng, fleet)
-        sigma = sample_experience_over(rng, artefacts)
-        _require_novel_if_transformative(scientist, sigma, sample_member(rng, artefacts))
+    _sample(fleet, ranked_artefacts(u), derived_rng("set-driven-novelty", seed), trials)
     return WitnessRecord(
         claim="set-driven scientists transform only on novel artefacts",
         values={

@@ -591,6 +591,15 @@ def test_misspelt_config_key_is_named(tmp_path, capsys, payload, key):
     assert f"'{key}'" in err
 
 
+@pytest.mark.parametrize("class_order", ["evens", 5])
+def test_enumeration_class_order_that_is_not_a_list_exits_two(tmp_path, capsys, class_order):
+    spec = {"name": "enumeration", "class_order": class_order}
+    code, out, err = run(capsys, "trace", "--config", _write_config(tmp_path, {"scientist": spec}))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "class_order" in err
+
+
 def test_deeply_nested_scientist_spec_exits_two(tmp_path, capsys):
     # Deep enough to exhaust the recursion limit while the spec is built, but
     # shallow enough for json.load, which gives up at about 1000 levels.

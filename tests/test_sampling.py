@@ -1,5 +1,6 @@
 """Samplers draw exactly the random streams of their ``randint``/``choice`` references,
-and the witness check asks novelty first yet flags exactly the cases it flagged before."""
+the case kernel draws exactly the per-draw samplers' cases, and the witness check asks
+novelty first yet flags exactly the cases it flagged before."""
 
 from __future__ import annotations
 
@@ -20,10 +21,11 @@ from helpers import (
     reference_sample_same_content,
     standard_family,
 )
-from limitlab import Scientist, ever_changing, is_pause
+from limitlab import Scientist, derived_rng, ever_changing, is_pause, memorizer, theorems
 from limitlab.sampling import (
     ranked_artefacts,
     sample_artefact,
+    sample_cases,
     sample_experience,
     sample_experience_over,
     sample_member,
@@ -33,6 +35,7 @@ from limitlab.scientists import SCIENTISTS
 from limitlab.theorems import (
     TheoremCheckError,
     _require_novel_if_transformative,
+    _sample,
     _set_driven_fleet,
     _sweep,
     _witness_family,
@@ -92,6 +95,42 @@ def test_same_content_sampler_draws_the_reference_stream():
         assert rng.getstate() == ref.getstate()
 
 
+def _drawn_cases(rng, members, artefacts, trials, max_len=8):
+    """The per-draw reference of ``sample_cases``: three sampler calls per case."""
+    return [
+        (
+            sample_member(rng, members),
+            sample_experience_over(rng, artefacts, max_len),
+            sample_member(rng, artefacts),
+        )
+        for _ in range(trials)
+    ]
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 8, 14])
+@pytest.mark.parametrize("members", [1, 2, 3, 8, 9, 17])
+def test_case_kernel_draws_the_per_draw_samplers_cases(members, max_len):
+    fleet = tuple(f"m{i}" for i in range(members))
+    for n in (1, 2, 7, 8, 9):
+        artefacts = ranked_artefacts(U, n - 1)
+        for seed in range(200):
+            rng, ref = _twin_rngs(seed)
+            drawn = list(sample_cases(rng, fleet, artefacts, 3, max_len))
+            assert drawn == _drawn_cases(ref, fleet, artefacts, 3, max_len)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_case_kernel_is_lazy_and_stops_after_its_trials():
+    rng, ref = _twin_rngs(7)
+    artefacts = ranked_artefacts(U)
+    cases = sample_cases(rng, "ab", artefacts, 2)
+    assert rng.getstate() == ref.getstate()
+    assert next(cases) == _drawn_cases(ref, "ab", artefacts, 1)[0]
+    assert list(cases) == _drawn_cases(ref, "ab", artefacts, 1)
+    assert list(sample_cases(rng, "ab", artefacts, 0)) == []
+    assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize(
     "draw",
     [
@@ -99,12 +138,89 @@ def test_same_content_sampler_draws_the_reference_stream():
         lambda rng: sample_artefact(rng, U, -1),
         lambda rng: sample_experience(rng, U, max_len=-1),
         lambda rng: ranked_artefacts(U, -1),
+        lambda rng: sample_experience_over(rng, ()),
+        lambda rng: sample_experience_over(rng, (), 0),
+        lambda rng: sample_cases(rng, (), ranked_artefacts(U), 1),
+        lambda rng: sample_cases(rng, "ab", (), 1),
+        lambda rng: sample_cases(rng, "ab", ranked_artefacts(U), 1, -1),
     ],
-    ids=["empty-member", "artefact-rank", "experience-length", "ranked-artefacts"],
+    ids=["empty-member", "artefact-rank", "experience-length", "ranked-artefacts",
+         "experience-over-nothing", "empty-experience-over-nothing", "case-member",
+         "case-artefact", "case-length"],
 )
 def test_empty_ranges_raise_instead_of_spinning(draw):
+    # The kernel raises when called, not on its first step, and no case draws first.
+    rng, ref = _twin_rngs(0)
     with pytest.raises(ValueError):
-        draw(random.Random(0))
+        draw(rng)
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 8])
+def test_experience_over_no_artefacts_raises_for_every_seed(max_len):
+    for seed in range(200):
+        rng, ref = _twin_rngs(seed)
+        with pytest.raises(ValueError):
+            sample_experience_over(rng, (), max_len)
+        assert rng.getstate() == ref.getstate()
+
+
+# ---------------------------------------------------------------------------
+# the witness's sampled loop against the per-draw loop
+
+
+def _sample_per_draw(fleet, artefacts, rng, trials):
+    """``theorems._sample`` as a per-draw loop: the reference order of draws and checks."""
+    for _ in range(trials):
+        scientist = sample_member(rng, fleet)
+        sigma = sample_experience_over(rng, artefacts)
+        _require_novel_if_transformative(scientist, sigma, sample_member(rng, artefacts))
+
+
+def test_set_driven_property_checks_the_per_draw_loops_cases(monkeypatch):
+    checked = []
+
+    def record(scientist, sigma, a):
+        checked.append((scientist.name, sigma, a))
+        _require_novel_if_transformative(scientist, sigma, a)
+
+    monkeypatch.setattr(theorems, "_require_novel_if_transformative", record)
+    fam = _witness_family()
+    fleet = _set_driven_fleet(fam)
+    artefacts = ranked_artefacts(fam.universe)
+    for seed in range(10):
+        checked.clear()
+        witness = theorems.set_driven_novelty_property(trials=2000, seed=seed)
+        sampled = checked[witness.values["exhaustive_cases"]:]
+        rng = derived_rng("set-driven-novelty", seed)
+        expected = [(s.name, sigma, a) for s, sigma, a in _drawn_cases(rng, fleet, artefacts, 2000)]
+        assert sampled == expected
+
+
+def _last_seen_scientist():
+    return Scientist("last_seen", FAM, _last_seen)
+
+
+@pytest.mark.parametrize(
+    "fleet",
+    [
+        lambda fam: [memorizer(fam), ever_changing(fam)],
+        lambda fam: [memorizer(fam), _last_seen_scientist()],
+        lambda fam: _set_driven_fleet(fam) + [_last_seen_scientist()],
+    ],
+    ids=["ever_changing", "last_seen", "set-driven-fleet-and-last_seen"],
+)
+def test_sampled_loop_fails_on_the_per_draw_loops_first_case(fleet):
+    fam = _witness_family()
+    artefacts = ranked_artefacts(fam.universe)
+    for seed in range(20):
+        rng, ref = _twin_rngs(seed)
+        with pytest.raises(TheoremCheckError) as expected:
+            _sample_per_draw(fleet(fam), artefacts, ref, 500)
+        with pytest.raises(TheoremCheckError) as got:
+            _sample(fleet(fam), artefacts, rng, 500)
+        assert str(got.value) == str(expected.value)
+        assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------

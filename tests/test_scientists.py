@@ -127,6 +127,56 @@ def test_enumeration_requires_nonempty_class():
         enumeration_scientist(FAM, [])
 
 
+# Specials, tail indices, the empty language and a tail set far above the sampled
+# ranks; the short orders leave most experiences to the memorizer fallback.
+ENUMERATION_ORDERS = [
+    [tail_index(), tail_index(2), tail_index(2, 4), 0],
+    [1, tail_index(), 0],
+    [tail_index(3), tail_index(1, 3, 5, 7, 9)],
+    [tail_index()],
+    [FAM.offset + (1 << 5000 | 1 << 2 | 1 << 4), tail_index(0, 1, 2, 3, 4, 5, 6, 7), 1],
+]
+
+
+def test_enumeration_gives_the_replay_references_indices():
+    # The reference asks language_of on every conjecture; which entry answered, by position.
+    answered = set()
+    for order in ENUMERATION_ORDERS:
+        reference = reference_conjecture({"name": "enumeration", "class_order": order}, FAM)
+        sci = enumeration_scientist(FAM, order)
+        rng = derived_rng("enumeration-differential", len(order))
+        for _ in range(400):
+            sigma = sample_experience(rng, U, 9, 6)
+            expected = reference(sigma)
+            assert sci(sigma) == expected
+            answered.add(order.index(expected) if expected in order else "fallback")
+    assert answered == {0, 1, 2, 3, "fallback"}
+
+
+def test_enumeration_builds_and_conjectures_without_decoding(monkeypatch):
+    import limitlab.families as families
+
+    decoded = []
+    real = families.decode_finite_set
+    monkeypatch.setattr(families, "decode_finite_set", lambda *a: decoded.append(a) or real(*a))
+    sci = enumeration_scientist(FAM, ENUMERATION_ORDERS[-1])
+    assert decoded == []
+    assert sci(exp("2 4")) == ENUMERATION_ORDERS[-1][0]
+    assert sci(exp("2 4 6")) == tail_index(0, 1, 2, 3, 4, 5, 6, 7)
+    assert decoded == []
+
+
+@pytest.mark.parametrize("class_order", ["evens", 5, 2.5, {"evens": 1}])
+def test_enumeration_spec_refuses_a_class_order_that_is_not_a_list(class_order):
+    with pytest.raises(ValueError, match="class_order"):
+        build_scientist({"name": "enumeration", "class_order": class_order}, FAM)
+
+
+def test_enumeration_spec_takes_a_tuple_class_order():
+    sci = build_scientist({"name": "enumeration", "class_order": ("{2}", 0)}, FAM)
+    assert sci(exp("2")) == tail_index(2) and sci(exp("4")) == 0
+
+
 # ---------------------------------------------------------------------------
 # ever-changing
 

@@ -1,27 +1,30 @@
-"""Write a grid claim's evidence: ``grid``, ``trace`` and ``bc`` of a parent checkout against this.
+"""Write a claim's evidence: every workload of a parent checkout against this one.
 
-    python3 tools/bench_grid_texts.py PARENT_DIR OUT_FILE WHAT
+    python3 tools/bench_claim.py WORKLOAD PARENT_DIR OUT_FILE WHAT
 
-PARENT_DIR is a checkout of the parent commit (``git archive`` or ``git
-clone``). OUT_FILE is the name of the JSON file written at the root of this
-checkout, one per claim (``BENCH_grid_texts.json``, ``BENCH_grid_keys.json``),
-and WHAT its one-line ``what`` text. Each side runs its own ``bench/run.py``
-in a fresh process:
+WORKLOAD is the workload that carries the claimed gain (``witness``,
+``trace``, ``grid`` or ``bc``). PARENT_DIR is a checkout of the parent commit
+(``git archive`` or ``git clone``). OUT_FILE is the name of the JSON file
+written at the root of this checkout, one per claim (``BENCH_grid_keys.json``,
+``BENCH_witness_cases.json``), and WHAT its one-line ``what`` text. Each side
+runs its own ``bench/run.py`` in a fresh process:
 
-- alternating untraced pairs of each of ``grid``, ``trace`` and ``bc``, the
-  parent first in even pairs. ``grid`` carries the claimed gain; ``trace``
-  and ``bc`` are checked for regressions;
+- alternating untraced pairs of each workload, the claimed one first and the
+  parent first in even pairs. The claimed workload carries the gain; the
+  other three are checked for regressions;
 - alternating untraced ``--workload all`` pairs, for the metrics of every
   workload;
-- one traced ``grid`` pair, for the per-layer counts;
-- the tracemalloc peak of one ``identify_class`` call: of three languages at
-  3 and at 100 seeds, and of twelve languages of sizes 1-12 at 100 seeds.
+- one traced pair of the claimed workload, for its per-layer counts;
+- for a ``grid`` claim only, the tracemalloc peak of one ``identify_class``
+  call: of three languages at 3 and at 100 seeds, and of twelve languages of
+  sizes 1-12 at 100 seeds.
 
 A metric is "unresolved" on a workload when either side's interquartile
 range exceeds the metric's declared bound, relative to that side's median,
 unless every run of the change reads better than every run of the parent.
+Set ``SEEDS`` and ``ALL_SEEDS`` to seeds not used while building the change.
 
-It takes about 40 minutes.
+It takes about 50 minutes.
 """
 
 from __future__ import annotations
@@ -36,24 +39,16 @@ import sys
 from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parent.parent
-WORKLOADS = ("grid", "trace", "bc")
+WORKLOADS = ("witness", "trace", "grid", "bc")
 PAIRS = 10
-SEEDS = range(1701, 1701 + PAIRS)
-ALL_SEEDS = range(1711, 1714)
+SEEDS = range(1921, 1921 + PAIRS)
+ALL_SEEDS = range(1931, 1934)
 TRACED_SEED = 0
 SECONDS = 25
 # (languages, seeds) of each tracemalloc call; "three" is evens, odds and {1,5,9}.
 PEAKS = (("three", 3), ("three", 100), ("sizes", 100))
-COUNTS = (
-    "scientists.conjecture_calls",
-    "scientists.conjecture_items",
-    "scientists.replay_ratio",
-    "core.fate_prefix_calls",
-    "core.fate_data",
-    "identification.converges_calls",
-    "identification.cells",
-    "families.compare_calls",
-)
+# Units of the traced per-layer metrics that repeat exactly from run to run.
+COUNT_UNITS = ("count", "bit", "ratio", "B")
 PEAK_CALL = """
 import sys, tracemalloc
 sys.path.insert(0, "src")
@@ -98,9 +93,12 @@ def src_digest(side: Path) -> str:
     return h.hexdigest()
 
 
-def values(result: dict) -> dict:
-    """A ``bench/run.py`` result's metrics, name to value."""
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+def values(result: dict, units: tuple | None = None) -> dict:
+    """A ``bench/run.py`` result's metrics, name to value; only those in ``units``, if given."""
+    return {
+        name: metric["value"] for name, metric in result["metrics"].items()
+        if units is None or metric["unit"] in units
+    }
 
 
 def summary(runs: list, declared: dict) -> dict:
@@ -133,12 +131,13 @@ def peak_bytes(side: Path, languages: str, seeds: int) -> int:
     return int(done.stdout)
 
 
-def main(parent: Path, out_name: str, what: str) -> None:
+def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
     declared = json.loads((CHANGE / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in declared["end_to_end"]}
+    workloads = (claimed,) + tuple(w for w in WORKLOADS if w != claimed)
     runs: dict = {}
     failed = 0
-    for workload in WORKLOADS:
+    for workload in workloads:
         runs[workload] = []
         for i, seed in enumerate(SEEDS):
             args = ("--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS),
@@ -152,10 +151,11 @@ def main(parent: Path, out_name: str, what: str) -> None:
                    "--seconds", str(SECONDS), "--trace", "0")
         for i, seed in enumerate(ALL_SEEDS)
     }
-    traced = pair(parent, True, "--workload", "grid", "--seed", str(TRACED_SEED),
+    traced = pair(parent, True, "--workload", claimed, "--seed", str(TRACED_SEED),
                   "--seconds", "8", "--trace", "1")
     record = {
         "what": what,
+        "claimed_workload": claimed,
         "command": "python3 bench/run.py --workload WORKLOAD --seed SEED "
                    f"--seconds {SECONDS} --trace 0",
         "protocol": f"{PAIRS} pairs per workload on seeds {SEEDS.start}-{SEEDS.stop - 1}, one "
@@ -165,37 +165,40 @@ def main(parent: Path, out_name: str, what: str) -> None:
                     "better); 'unresolved' means a side's interquartile range exceeds the bound "
                     "relative to its median, and not every change run beats every parent run. "
                     f"'no_regression' is {len(ALL_SEEDS)} alternating --workload all pairs "
-                    f"on seeds {ALL_SEEDS.start}-{ALL_SEEDS.stop - 1}, 'traced' one --workload "
-                    f"grid --seed {TRACED_SEED} --seconds 8 --trace 1 pair (parent first). "
-                    "'tracemalloc_peak_bytes' is the peak of identify_class(memorizer, "
-                    "LANGUAGES, [canonical, padded(0.25), shuffled-window(4)], SEEDS, 3000) in "
-                    "a fresh process: 'three' is LANGUAGES = [evens, odds, {1,5,9}], 'sizes' "
-                    "the finite languages {0}, {0,1}, ..., {0,...,11}",
+                    f"on seeds {ALL_SEEDS.start}-{ALL_SEEDS.stop - 1}, 'traced' the per-layer "
+                    f"counts of one --workload {claimed} --seed {TRACED_SEED} --seconds 8 "
+                    "--trace 1 pair (parent first)"
+                    + (". 'tracemalloc_peak_bytes' is the peak of identify_class(memorizer, "
+                       "LANGUAGES, [canonical, padded(0.25), shuffled-window(4)], SEEDS, 3000) "
+                       "in a fresh process: 'three' is LANGUAGES = [evens, odds, {1,5,9}], "
+                       "'sizes' the finite languages {0}, {0,1}, ..., {0,...,11}"
+                       if claimed == "grid" else ""),
         "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),
         "src_sha256": {"parent": src_digest(parent), "change": src_digest(CHANGE)},
-        "summary": {w: summary(runs[w], metrics) for w in WORKLOADS},
+        "summary": {w: summary(runs[w], metrics) for w in workloads},
         "failed_jobs": failed + sum(r["failed"] for both in every.values() for r in both.values()),
         "runs": runs,
         "no_regression": [
             {"seed": seed, **{s: values(r) for s, r in both.items()}}
             for seed, both in every.items()
         ],
-        "traced": {s: {k: values(r)[k] for k in COUNTS} for s, r in traced.items()},
-        "tracemalloc_peak_bytes": {
+        "traced": {s: values(r, COUNT_UNITS) for s, r in traced.items()},
+    }
+    if claimed == "grid":
+        record["tracemalloc_peak_bytes"] = {
             f"{languages}_seeds_0-{seeds - 1}": {
                 "parent": peak_bytes(parent, languages, seeds),
                 "change": peak_bytes(CHANGE, languages, seeds),
             }
             for languages, seeds in PEAKS
-        },
-    }
+        }
     out = CHANGE / out_name
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 4:
+    if len(sys.argv) != 5 or sys.argv[1] not in WORKLOADS:
         sys.exit(__doc__)
-    main(Path(sys.argv[1]).resolve(), sys.argv[2], sys.argv[3])
+    main(sys.argv[1], Path(sys.argv[2]).resolve(), sys.argv[3], sys.argv[4])
