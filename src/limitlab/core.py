@@ -3,9 +3,11 @@
 A universe fixes a bijective enumeration of every artefact that can ever
 occur. Experiences are finite datum sequences, fates are total generators of
 infinite datum sequences. A text strategy is a language-free schedule of
-pauses and ordinals with configurable pause, order, and repetition texture;
-a language's text is that schedule relabelled, its k-th element standing for
-ordinal k (``make_fate``, ``Schedule``).
+pauses and ordinals with configurable pause, order, and repetition texture.
+A language's text is that schedule relabelled: the schedule read as ordinals
+(-1 a pause), reduced by the language's size (``_reduction``), and read as
+data by one reader (``_reader``), its element r standing for ordinal r.
+``make_fate`` streams it; ``Schedule`` draws a schedule once and keys it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import count, islice, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, NamedTuple
@@ -29,7 +32,6 @@ __all__ = [
     "Datum",
     "Experience",
     "Fate",
-    "NATURALS",
     "Padded",
     "Pause",
     "RepetitionHeavy",
@@ -265,41 +267,29 @@ def derived_rng(*parts) -> random.Random:
 _PAD_BLOCK = 8  # slots per padded block; density resolves to floor(density * 8) pauses
 
 
-class _Naturals:
-    """The language of the naturals whose k-th element is the ordinal k itself.
-
-    Its text under a strategy is that strategy's schedule itself.
-    """
-
-    size = None
-
-    @staticmethod
-    def element(k: int) -> int:
-        return k
-
-
-NATURALS = _Naturals()
-
-
-def _reduction(size: int | None) -> Callable[[int], int]:
-    """The relabel rule, on ordinals: k to the ordinal of the element it becomes, -1 for a pause.
+def _reduction(size: int | None) -> Callable[[Iterable[int]], Iterable[int]]:
+    """The relabel rule, over a stream of ordinals: each k to the ordinal of the element it becomes.
 
     A pause (-1) stays -1. For a finite size s > 0, ordinal k becomes k % s; for
-    size 0 every position becomes a pause; an infinite language keeps k.
+    size 0 every position becomes a pause; an infinite language keeps every k.
     """
     if size is None:
-        return lambda k: k
+        return lambda ordinals: ordinals
     if size == 0:
-        return lambda k: -1
-    return lambda k: -1 if k < 0 else k % size
+        return partial(map, lambda k: -1)
+    return partial(map, lambda k: -1 if k < 0 else k % size)
 
 
-def _relabelled(lang: "LanguageRepr", ordinals: Iterable[int | Pause]) -> Iterator[Datum]:
-    """``lang``'s text from a schedule: a pause (or -1) stays a pause, k becomes its k-th element."""
-    reduce, element = _reduction(lang.size), lang.element
-    for k in ordinals:
-        k = -1 if k is PAUSE else reduce(k)
-        yield PAUSE if k < 0 else element(k)
+def _reader(lang: "LanguageRepr") -> Callable[[Iterable[int]], Iterator[Datum]]:
+    """``lang``'s text from reduced ordinals: -1 is a pause, r is ``lang``'s r-th element.
+
+    A finite language reads its members from a table built once, with the
+    pause last so that -1 lands on it; an infinite one calls ``element``.
+    """
+    if lang.size is None:
+        element = lang.element
+        return lambda ordinals: (PAUSE if r < 0 else element(r) for r in ordinals)
+    return partial(map, (*map(lang.element, range(lang.size)), PAUSE).__getitem__)
 
 
 def _check_rate(value, what: str) -> None:
@@ -413,6 +403,13 @@ STRATEGIES: dict[str, type[TextStrategy]] = {
 }
 
 
+def _ordinals(strategy: TextStrategy, seed: int) -> Callable[[], Iterator[int]]:
+    """Fresh reads of ``strategy``'s schedule at ``seed`` as ordinals, -1 standing for a pause."""
+    if not isinstance(strategy, TextStrategy):
+        raise TypeError(f"unknown text strategy: {strategy!r}")
+    return lambda: (-1 if k is PAUSE else k for k in strategy.schedule(seed))
+
+
 def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fate:
     """``lang``'s text under a text strategy: the strategy's schedule at ``seed``, relabelled.
 
@@ -420,33 +417,27 @@ def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fa
     appears by a computable deadline, so the limiting content of the fate is
     the language; the empty language's fate is all pauses.
     """
-    if not isinstance(strategy, TextStrategy):
-        raise TypeError(f"unknown text strategy: {strategy!r}")
-    return Fate(lambda: _relabelled(lang, strategy.schedule(seed)), lang)
-
-
-def _ordinals(data: Iterable) -> Iterator[int]:
-    """A text over ``NATURALS`` as ordinals, -1 standing for the pause."""
-    return (-1 if d is PAUSE else d for d in data)
+    ordinals, reduce, read = _ordinals(strategy, seed), _reduction(lang.size), _reader(lang)
+    return Fate(lambda: read(reduce(ordinals())), lang)
 
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """A strategy's schedule (its text over ``NATURALS``), its first positions drawn once.
+    """A strategy's schedule at one seed, its first positions drawn once.
 
     ``drawn`` holds the ordinal at each drawn position, or -1 for a pause, as
     native 8-byte words. ``key(size)`` reduces it by the relabel rule for a
     language of that size, and ``reader(lang)`` reads ``lang``'s text off such
-    a key: the same text as ``make_fate``'s, without drawing the strategy's
-    randomness again.
+    a key with ``make_fate``'s reader: the same text as ``make_fate``'s,
+    without drawing the strategy's randomness again.
     """
 
     drawn: bytes
 
     @classmethod
-    def draw(cls, source: Fate, n: int) -> Schedule:
-        """The first ``n`` positions of ``source``, a fate over ``NATURALS``."""
-        return cls(array("q", _ordinals(source.prefix(n))).tobytes())
+    def draw(cls, strategy: TextStrategy, seed: int, n: int) -> Schedule:
+        """The first ``n`` positions of ``strategy``'s schedule at ``seed``."""
+        return cls(array("q", islice(_ordinals(strategy, seed)(), n)).tobytes())
 
     def key(self, size: int | None) -> bytes:
         """The text of a language of ``size`` over the drawn positions, compactly.
@@ -460,23 +451,13 @@ class Schedule:
         if size is None:
             return self.drawn
         ordinals = memoryview(self.drawn).cast("q")
-        return array(_key_code(size), map(_reduction(size), ordinals)).tobytes()
+        return array(_key_code(size), _reduction(size)(ordinals)).tobytes()
 
     @staticmethod
     def reader(lang: "LanguageRepr") -> Callable[[bytes], tuple[Datum, ...]]:
-        """``lang``'s text from its key: -1 is a pause, r is ``lang``'s r-th element.
-
-        A finite language reads its members from a table built once, with the
-        pause last so that -1 lands on it.
-        """
-        code = _key_code(lang.size)
-        if lang.size is None:
-            element = lang.element
-            return lambda key: tuple(
-                [PAUSE if r < 0 else element(r) for r in memoryview(key).cast(code)]
-            )
-        table = (*map(lang.element, range(lang.size)), PAUSE)
-        return lambda key: tuple(map(table.__getitem__, memoryview(key).cast(code)))
+        """``lang``'s text from its key, read as ``make_fate`` reads it (``_reader``)."""
+        read, code = _reader(lang), _key_code(lang.size)
+        return lambda key: tuple(read(memoryview(key).cast(code)))
 
 
 def _key_code(size: int | None) -> str:

@@ -237,9 +237,9 @@ class LanguageFamily:
         return self.offset + encode_finite_set(artefacts)
 
     def semantic_equals(self, p: int, q: int) -> Equality:
-        if p == q:
+        if p == q and p >= 0:
             return Equality.EQUAL
-        low, high = sorted((p, q))
+        low, high = sorted((p, q))  # a negative low fails in language_of
         if low >= self.offset:
             # compare_languages's code rule, without building two tail languages.
             return Equality.NOT_EQUAL
@@ -292,6 +292,8 @@ class LanguageFamily:
         tokens: list[str] = []
         for p in indices:
             if p < offset:
+                if p < 0:
+                    raise ValueError(f"hypothesis index must be >= 0, got {p}")
                 literals.append(None)
                 continue
             new = p - offset
@@ -342,7 +344,7 @@ class AnnotationFamily:
         return self.base.language_of(self._base_index(p))
 
     def semantic_equals(self, p: int, q: int) -> Equality:
-        if p == q:
+        if p == q and p >= 0:
             return Equality.EQUAL
         return self.base.semantic_equals(self._base_index(p), self._base_index(q))
 
@@ -350,7 +352,7 @@ class AnnotationFamily:
         return self.base.compare_index_with(self._base_index(p), target)
 
     def tail_set_literals(self, indices: Iterable[int]) -> list[str | None]:
-        return self.base.tail_set_literals(unpair(p)[0] for p in indices)
+        return self.base.tail_set_literals(map(self._base_index, indices))
 
 
 def resolve_language(spec: str, universe: Universe) -> LanguageRepr:

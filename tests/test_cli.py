@@ -643,10 +643,11 @@ def test_oversized_seed_rejected(capsys):
 @pytest.mark.parametrize("command", ["identify", "trace"])
 def test_prefix_too_large_for_memory_exits_two(monkeypatch, capsys, command):
     # Stands in for a horizon within bounds whose prefix memory cannot hold.
-    def no_memory(self, n):
+    def no_memory(*args):
         raise MemoryError
 
     monkeypatch.setattr(limitlab.core.Fate, "prefix", no_memory)
+    monkeypatch.setattr(limitlab.core.Schedule, "draw", no_memory)
     code, out, err = run(capsys, command, "--horizon", "5")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and "out of memory" in err

@@ -499,7 +499,15 @@ def test_compare_index_with_matches_decoding(name, target, b, note):
 @pytest.mark.parametrize("name", sorted(COMPARE_FAMILIES))
 def test_fast_comparisons_reject_negative_indices(name):
     family = COMPARE_FAMILIES[name]
-    with pytest.raises(ValueError):
+    negative = "hypothesis index must be >= 0"
+    with pytest.raises(ValueError, match=negative):
         family.semantic_equals(-1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=negative):
         family.compare_index_with(-1, EVENS)
+    for p in (-1, -3):  # an index equal to itself is still checked
+        with pytest.raises(ValueError, match=negative):
+            family.semantic_equals(p, p)
+    with pytest.raises(ValueError, match=negative):
+        family.tail_set_literals([-1])
+    with pytest.raises(ValueError, match=negative):
+        family.tail_set_literals([5, -1])

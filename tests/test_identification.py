@@ -24,7 +24,6 @@ from helpers import (
 )
 from limitlab import (
     INDETERMINATE,
-    NATURALS,
     SCIENTISTS,
     Canonical,
     Equality,
@@ -361,6 +360,12 @@ def test_a_class_without_strategies_or_seeds_is_refused(strategies, seeds):
         identify_class(memorizer(FAM), [finite(2)], strategies, seeds, horizon=8)
 
 
+def test_identify_class_refuses_a_strategy_given_by_name():
+    # A strategy's name is not a strategy: the schedule draw checks it as make_fate does.
+    with pytest.raises(TypeError, match="unknown text strategy"):
+        identify_class(memorizer(FAM), [finite(2)], ["canonical"], [0], horizon=8)
+
+
 @pytest.mark.parametrize("name", sorted(SCIENTISTS))
 def test_identify_class_matches_the_per_cell_reference(name):
     scientist = build_scientist(name, FAM)
@@ -421,7 +426,7 @@ def test_identify_class_walks_each_languages_distinct_texts_once():
     strategies = [Canonical(), ShuffledWindow(3), Padded(0.25)]
     seeds = [0, 1, 2]
     schedules = [
-        Schedule.draw(make_fate(NATURALS, strategy, seed), 16)
+        Schedule.draw(strategy, seed, 16)
         for strategy in strategies
         for seed in seeds
     ]

@@ -41,8 +41,8 @@ from pathlib import Path
 CHANGE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("witness", "trace", "grid", "bc")
 PAIRS = 10
-SEEDS = range(1921, 1921 + PAIRS)
-ALL_SEEDS = range(1931, 1934)
+SEEDS = range(2001, 2001 + PAIRS)
+ALL_SEEDS = range(2011, 2014)
 TRACED_SEED = 0
 SECONDS = 25
 # (languages, seeds) of each tracemalloc call; "three" is evens, odds and {1,5,9}.
