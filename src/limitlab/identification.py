@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .core import Datum, Experience, Fate, Schedule, TextStrategy, is_pause
+from .core import PAUSE, Datum, Experience, Fate, Schedule, TextStrategy, is_pause
 # Unused here, but bench/tests checks that the span tracer restores identification.make_fate.
 from .core import make_fate  # noqa: F401
 from .families import Equality, LanguageFamily, LanguageRepr
@@ -99,10 +99,25 @@ def _check_horizon(horizon: int) -> None:
 def _walk(scientist: Scientist, data: tuple) -> Iterator[int]:
     """The conjecture on each prefix ``data[:n]``, for n from 0 through ``len(data)``.
 
-    The one prefix replay: every limit check reads its hypothesis sequence here.
+    The one prefix walk: every limit check reads its hypothesis sequence here.
+    A content scientist conjectures from the content alone, so its index can
+    move only where a datum occurs for the first time. It is asked on the
+    empty prefix and at each first occurrence, and its index is repeated
+    everywhere else. Any other scientist is asked on every prefix.
     """
     conjecture = scientist.conjecture
-    return (conjecture(Experience(data[:n])) for n in range(len(data) + 1))
+    if scientist.content is None:
+        for n in range(len(data) + 1):
+            yield conjecture(Experience(data[:n]))
+        return
+    index = conjecture(Experience(data[:0]))
+    yield index
+    seen = {PAUSE}
+    for n, d in enumerate(data, 1):
+        if d not in seen:
+            seen.add(d)
+            index = conjecture(Experience(data[:n]))
+        yield index
 
 
 def _settle(indices: Iterable[int]) -> tuple[int | None, int | None]:
@@ -253,13 +268,15 @@ def identify_class(
     its input-order slot. Within one language, two schedules with the same key
     give the same text up to the horizon; a scientist is a deterministic map
     from experiences to indices, so the two cells have the same hypothesis
-    sequence and the same row. Each distinct text is walked once, keeping only
-    its verdict and last change step, never its trace. The memo ends with its
-    language, and nothing is kept between calls. A finite language of at most
-    128 members takes one byte per position of key, and an infinite one's keys
-    are the schedules themselves. Memory is the schedules, at 8 bytes per
-    position, plus one size's distinct keys. An empty class is vacuous, but a
-    class with no strategy or no seed has no text to run and raises ValueError.
+    sequence and the same row. Each distinct text is walked once (``_walk``:
+    a content scientist, like the memorizer, is asked only at the empty prefix
+    and at first occurrences), keeping only its verdict and last change step,
+    never its trace. The memo ends with its language, and nothing is kept
+    between calls. A finite language of at most 128 members takes one byte per
+    position of key, and an infinite one's keys are the schedules themselves.
+    Memory is the schedules, at 8 bytes per position, plus one size's distinct
+    keys. An empty class is vacuous, but a class with no strategy or no seed
+    has no text to run and raises ValueError.
     """
     _check_horizon(horizon)
     languages = list(languages)
@@ -318,11 +335,11 @@ def transformation_trace(
 ) -> tuple:
     """Sweep novelty and transformativeness along the fate: one ``TraceStep`` per step 0..horizon.
 
-    Each prefix is conjectured once. The step's datum is the artefact appended
-    to ``data[:n]``, so its flags follow from the adjacent conjectures
-    ``indices[n]`` and ``indices[n + 1]`` and from the artefacts seen so far,
-    exactly as the schemas would compute them on ``Situation(scientist,
-    data[:n])``.
+    Each prefix's index is read once, from ``_walk``. The step's datum is the
+    artefact appended to ``data[:n]``, so its flags follow from the adjacent
+    indices ``indices[n]`` and ``indices[n + 1]`` and from the artefacts seen
+    so far, exactly as the schemas would compute them on
+    ``Situation(scientist, data[:n])``.
     """
     _check_horizon(horizon)
     data = fate.prefix(horizon + 1).items

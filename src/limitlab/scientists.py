@@ -1,13 +1,18 @@
 """Scientists: deterministic total maps from experiences to hypothesis indices.
 
-Most builders give a scientist as a ``Fold``, an incremental learner: a state
-value, a step per datum and an emit. Its ``conjecture`` keeps the last
-experience and state it saw, so a call on an extension steps only the new
-data, and any other call folds from the start. Either way the index is a
-function of the experience alone, so a scientist value can be shared and
-re-invoked freely. ``set_driven_wrapper``, ``enumeration_scientist`` and
-user-built scientists conjecture by replay. The registry at the bottom names
-each builder for configs and experiment sweeps.
+A scientist takes one of three forms. A content scientist is an emit over the
+content code, the set code of the ranks seen: it conjectures from the content
+alone, so it is set-driven by construction, a non-novel datum cannot move its
+index, and a prefix walk asks it only at first occurrences. The memorizer, the
+dumb visionary, the enumeration scientist and every set-driven wrap are
+content scientists. A ``Fold`` is an incremental learner: a state value, a
+step per datum and an emit. A replay scientist is any function of the whole
+experience. The first two forms derive ``conjecture`` with one memo of the
+last experience seen, so a call on an extension takes in only the new data,
+and any other call starts from the experience itself. Either way the index is
+a function of the experience alone, so a scientist value can be shared and
+re-invoked freely. The registry at the bottom names each builder for configs
+and experiment sweeps.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .core import PAUSE, Datum, Experience, canonical_experience, derived_rng
+from .core import PAUSE, Datum, Experience, derived_rng
 from .families import (
     AnnotationFamily,
     LanguageFamily,
@@ -85,33 +91,92 @@ def _resumable(fold: Fold) -> Callable[[Experience], int]:
     return conjecture
 
 
+def _code_step(code: int, d: Datum) -> int:
+    """The content code after one more datum: a pause adds nothing, an artefact its rank's bit."""
+    return code if d is PAUSE else code | 1 << d.rank
+
+
+def _code(data: Iterable[Datum]) -> int:
+    """The content code of some data, with no Python call per datum."""
+    code = 0
+    for d in data:
+        if d is not PAUSE:
+            code |= 1 << d.rank
+    return code
+
+
+def _ranks(code: int, start: int = 0) -> list[int]:
+    """The ranks whose bits are set in a content code, from ``start`` up, ascending."""
+    bits = bin(code >> start)[:1:-1]  # least significant first
+    return [start + r for r, bit in enumerate(bits) if bit == "1"]
+
+
+def _from_content(content: Callable[[int], int]) -> Callable[[Experience], int]:
+    """An emit over the content code as a conjecture over experiences.
+
+    The one memo is ``(items, code, index)``, replaced whole. A call whose
+    items extend the memo's ORs in the ranks of the new data alone; any other
+    call codes ``sigma.content()``. The emit is asked only when the code
+    differs from the memo's, so a non-novel datum costs no emit.
+    """
+    memo: tuple = (None, -1, None)
+
+    def conjecture(sigma: Experience) -> int:
+        nonlocal memo
+        items = sigma.items
+        seen, last, index = memo
+        if seen is not None and len(seen) <= len(items) and items[: len(seen)] == seen:
+            code = last | _code(items[len(seen) :])
+        else:
+            code = _code(sigma.content())
+        if code != last:
+            index = content(code)
+        memo = (items, code, index)
+        return index
+
+    return conjecture
+
+
 @dataclass(frozen=True, eq=False)
 class Scientist:
     """A named total deterministic map from experiences to family indices.
 
-    Give either ``conjecture``, a replay function of the whole experience, or
-    ``fold``, from which ``conjecture`` is then derived.
+    Give exactly one of ``conjecture``, a replay function of the whole
+    experience; ``fold``, from which ``conjecture`` is then derived; or
+    ``content``, an emit over the content code (bit r set iff an artefact of
+    rank r was seen), from which ``conjecture`` is derived likewise. A content
+    scientist tells artefacts apart by rank, and is set-driven by construction.
     """
 
     name: str
     family: Family
     conjecture: Callable[[Experience], int] | None = None
     fold: Fold | None = None
+    content: Callable[[int], int] | None = None
 
     def __post_init__(self) -> None:
-        if (self.conjecture is None) == (self.fold is None):
-            raise ValueError(f"scientist {self.name} needs exactly one of conjecture and fold")
+        if sum(form is not None for form in (self.conjecture, self.fold, self.content)) != 1:
+            raise ValueError(
+                f"scientist {self.name} needs exactly one of conjecture, fold and content"
+            )
         if self.fold is not None:
             object.__setattr__(self, "conjecture", _resumable(self.fold))
+        elif self.content is not None:
+            object.__setattr__(self, "conjecture", _from_content(self.content))
 
     def __call__(self, sigma: Experience) -> int:
         return self.conjecture(sigma)
 
 
 def _as_fold(scientist: Scientist) -> Fold:
-    """The scientist's fold, or a replay adapter: the state is the data, emit re-asks."""
+    """The scientist's fold; for a content scientist, the content code stepped per datum.
+
+    A replay scientist gets an adapter: the state is the data, and emit re-asks.
+    """
     if scientist.fold is not None:
         return scientist.fold
+    if scientist.content is not None:
+        return Fold(0, _code_step, scientist.content)
     conjecture = scientist.conjecture
     return Fold((), lambda items, d: items + (d,), lambda items: conjecture(Experience(items)))
 
@@ -119,33 +184,27 @@ def _as_fold(scientist: Scientist) -> Fold:
 def dumb_visionary(fam: LanguageFamily, lang: LanguageRepr) -> Scientist:
     """Constantly outputs the least index of one fixed language, input ignored."""
     h = fam.min_index_for(lang)
-    return Scientist(
-        name=f"dumb_visionary({lang.describe()})",
-        family=fam,
-        fold=Fold(h, lambda h, d: h, lambda h: h),
-    )
+    return Scientist(name=f"dumb_visionary({lang.describe()})", family=fam, content=lambda code: h)
 
 
 def memorizer(fam: LanguageFamily) -> Scientist:
     """Conjectures exactly the finite language of everything seen so far.
 
-    The state is the set code of the content: one bit per rank seen.
+    Its index is the family offset plus the content code.
     """
     offset = fam.offset
-
-    def step(code: int, d: Datum) -> int:
-        return code if d is PAUSE else code | 1 << d.rank
-
-    return Scientist(
-        name="memorizer", family=fam, fold=Fold(0, step, lambda code: offset + code)
-    )
+    return Scientist(name="memorizer", family=fam, content=lambda code: offset + code)
 
 
 def enumeration_scientist(fam: LanguageFamily, class_order: Sequence[int]) -> Scientist:
     """First index in class order whose language contains the content seen.
 
-    Falls back to the memorizer's conjecture when no class member fits, so the
-    result stays total and consistent.
+    A content scientist: each entry is tested against the content code. A
+    finite entry F fits when the code has no bit outside F, with no decode; a
+    special fits when it contains the universe's artefact of every rank in the
+    code. Artefacts are told apart by rank, like the memorizer's, so a foreign
+    artefact with a member's rank counts as that member. When no entry fits,
+    the conjecture is the memorizer's, so the result stays total and consistent.
     """
     if not class_order:
         raise ValueError("class order must be non-empty")
@@ -153,18 +212,29 @@ def enumeration_scientist(fam: LanguageFamily, class_order: Sequence[int]) -> Sc
     for p in order:
         if isinstance(p, bool) or not isinstance(p, int) or p < 0:
             raise ValueError(f"class order entries must be indices >= 0, got {p!r}")
-    fallback = memorizer(fam)
-    # Each entry's membership test, built once: a tail test is a bit test, no decode.
-    tests = tuple((p, fam.language_of(p).contains) for p in order)
+    offset = fam.offset
+    artefact = cache(fam.universe.artefact)  # each rank's artefact, built once
+    # Each entry's test, built once: a finite entry's mask of the ranks outside
+    # it, or a special's membership test.
+    tests = tuple(
+        (p, None, fam.specials[p].contains) if p < offset else (p, ~(p - offset), None)
+        for p in order
+    )
 
-    def conjecture(sigma: Experience) -> int:
-        seen = sigma.content()
-        for p, contains in tests:
-            if all(map(contains, seen)):
-                return p
-        return fallback.conjecture(sigma)
+    def emit(code: int) -> int:
+        listed = None
+        for p, outside, contains in tests:
+            if contains is None:
+                if not code & outside:
+                    return p
+            else:
+                if listed is None:
+                    listed = list(map(artefact, _ranks(code)))
+                if all(map(contains, listed)):
+                    return p
+        return offset + code
 
-    return Scientist(name="enumeration", family=fam, conjecture=conjecture)
+    return Scientist(name="enumeration", family=fam, content=emit)
 
 
 def ever_changing(fam: Family) -> Scientist:
@@ -255,54 +325,53 @@ def last_novel(fam: LanguageFamily) -> Scientist:
 def set_driven_wrapper(base: Scientist) -> Scientist:
     """Feed the base only the canonical listing of the content: set-driven by construction.
 
-    The wrap conjectures by replay, through ``sigma.content()``, and keeps one
-    memo, replaced whole like a fold's: the last content and its index. A
-    call on the same content returns that index. A fold base also keeps the
-    content's rank-sorted listing and its own state after each prefix of it;
-    a call on a superset then inserts the new artefacts by rank and steps the
-    base only from the first position that changed, and any other call lists
-    and folds from the start. A replay base is re-asked on the whole listing.
-    Artefacts are told apart by rank, as within one universe. The kept states
-    are O(k) values for a content of k artefacts, so a memorizer base, whose
-    state after i artefacts is a code of up to i bits, holds Θ(k²) bits: the
-    same order as ``ConvergenceReport.trace``.
+    The wrap is a content scientist. Its emit lists the code's ranks in order,
+    each as the universe's artefact of that rank, built once per wrap, and asks
+    the base on that listing. A content base is set-driven already, so the wrap
+    reuses its emit. A replay base is re-asked on the whole listing. A fold
+    base keeps one memo, replaced whole: the last code, its listing, and the
+    base's state after each prefix of the listing. An emit steps the base only
+    from the lowest rank whose bit changed. Artefacts are told apart by rank,
+    as within one universe. The kept states are O(k) values for a content of k
+    artefacts, so a base whose state after i artefacts holds i bits, like
+    ``last_novel``'s, holds Θ(k²) bits: the same order as
+    ``ConvergenceReport.trace``.
     """
-    fold = base.fold
-    rank = attrgetter("rank")
-    # (content, index), and for a fold base (..., listing, states), where
-    # states[i] is the base after listing[:i]. A published memo is never mutated.
-    memo: tuple = (None, 0, (), ())
+    name, family = f"set_driven({base.name})", base.family
+    if base.content is not None:
+        return Scientist(name=name, family=family, content=base.content)
+    artefact = cache(family.universe.artefact)  # each rank's artefact, built once
+    if base.fold is None:
+        conjecture = base.conjecture
+        return Scientist(
+            name=name,
+            family=family,
+            content=lambda code: conjecture(
+                Experience(tuple(map(artefact, _ranks(code))))
+            ),
+        )
+    init, step, emit = base.fold.init, base.fold.step, base.fold.emit
+    # (code, its ranks in order, states), where states[i] is the base after
+    # the first i of them. A published memo is never mutated.
+    memo: tuple = (0, [], [init])
 
-    def relist(content: frozenset, last, _, listing, states) -> tuple:
-        new = None if last is None else content - last
-        if new is not None and len(new) == len(content) - len(last):  # last <= content
-            new = sorted(new, key=rank)
-            first = bisect_left(listing, new[0].rank, key=rank)
-            listing, states = list(listing), states[: first + 1]
-            for a in new:
-                listing.insert(bisect_left(listing, a.rank, first, key=rank), a)
-        else:
-            listing = sorted(content, key=rank)
-            first, states = 0, [fold.init]
-        state = states[first]
-        for a in listing[first:]:
-            state = fold.step(state, a)
-            states.append(state)
-        return content, fold.emit(state), listing, states
-
-    def conjecture(sigma: Experience) -> int:
+    def relisted(code: int) -> int:
         nonlocal memo
-        content = sigma.content()
-        kept = memo  # read once: a thread sharing the wrap may replace it
-        if content != kept[0]:
-            if fold is None:
-                kept = (content, base.conjecture(canonical_experience(content)))
-            else:
-                kept = relist(content, *kept)
-            memo = kept
-        return kept[1]
+        last, ranks, states = memo  # read once: a thread sharing the wrap may replace it
+        changed = code ^ last
+        if changed:
+            low = (changed & -changed).bit_length() - 1
+            first = bisect_left(ranks, low)  # ranks below low are listed as before
+            ranks, states = ranks[:first], states[: first + 1]
+            state = states[first]
+            for r in _ranks(code, low):
+                state = step(state, artefact(r))
+                ranks.append(r)
+                states.append(state)
+            memo = (code, ranks, states)
+        return emit(states[-1])
 
-    return Scientist(name=f"set_driven({base.name})", family=base.family, conjecture=conjecture)
+    return Scientist(name=name, family=family, content=relisted)
 
 
 @dataclass(frozen=True)

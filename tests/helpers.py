@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from limitlab import (
     PAUSE,
+    SCIENTISTS,
     AnnotationFamily,
     Canonical,
     Equality,
@@ -126,6 +127,20 @@ def pair_swapped_evens_text(universe: Universe = U) -> Fate:
         return universe.artefact(4 * j + 2 if (n - 2) % 2 == 0 else 4 * j)
 
     return fate_from_function(at, platonic=evens_language(universe))
+
+
+# Every content scientist: the memorizer, visionaries of a special and of a
+# finite language, enumeration with its default order and with orders that mix
+# specials and finite entries, and the set-driven wrap of every registered base.
+CONTENT_SPECS = [
+    "memorizer",
+    "dumb_visionary",
+    "dumb_visionary:odds",
+    "dumb_visionary:{2,4}",
+    "enumeration",
+    {"name": "enumeration", "class_order": ["{2}", "evens", "{2,4}"]},
+    {"name": "enumeration", "class_order": ["{}", "odds", "{1,3}", 0]},
+] + [{"name": "set_driven", "base": name} for name in sorted(SCIENTISTS)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CONTENT_SPECS,
     U,
     art,
     exp,
@@ -17,6 +18,7 @@ from helpers import (
     pair_swapped_evens_text,
     plain_evens_text,
     reference_bc_converges_at,
+    reference_conjecture,
     reference_identifies_text,
     reference_identify_class,
     reference_transformation_trace,
@@ -27,6 +29,7 @@ from limitlab import (
     SCIENTISTS,
     Canonical,
     Equality,
+    Experience,
     LanguageFamily,
     Outcome,
     Padded,
@@ -37,6 +40,7 @@ from limitlab import (
     all_language,
     build_scientist,
     bc_converges_at,
+    canonical_experience,
     confidence_annotating,
     converges_at,
     core,
@@ -51,6 +55,7 @@ from limitlab import (
     last_novel,
     make_fate,
     memorizer,
+    set_driven_wrapper,
     transformation_trace,
 )
 
@@ -569,3 +574,66 @@ def test_trace_matches_replay_reference_when_equality_is_undecided(strategy):
     assert trace == reference_transformation_trace(flipper, fate, 16)
     flags = [s.semantically_transformative for s in trace]
     assert INDETERMINATE in flags and 0 in flags
+
+
+# ---------------------------------------------------------------------------
+# content scientists: asked only at first occurrences, against the replay
+
+
+def _user_replay():
+    # A replay scientist that is not set-driven: the wrap must list its content.
+    return Scientist("parity", FAM, lambda sigma: FAM.offset + len(sigma) % 3)
+
+
+WALK_LANGUAGES = [
+    finite(), finite(2), finite(1, 5, 7), finite(*range(0, 40, 3)), EVENS, ODDS, all_language(U),
+]
+WALK_STRATEGIES = st.one_of(
+    st.just(Canonical()),
+    st.sampled_from([0, 0.125, 0.25, 0.5, 0.875]).map(Padded),
+    st.integers(1, 8).map(ShuffledWindow),
+    st.sampled_from([0, 0.25, 0.5, 0.75]).map(RepetitionHeavy),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=st.sampled_from(CONTENT_SPECS + ["set_driven of a user scientist"]),
+    languages=st.lists(st.sampled_from(WALK_LANGUAGES), min_size=1, max_size=3),
+    strategy=WALK_STRATEGIES,
+    seed=st.integers(0, 2**64 - 1),
+    horizon=st.integers(1, 24),
+)
+def test_content_walk_matches_the_replay_references(spec, languages, strategy, seed, horizon):
+    if spec == "set_driven of a user scientist":
+        user = _user_replay()
+        scientist = set_driven_wrapper(user)
+        replay = Scientist("replay", FAM, lambda sigma: user(canonical_experience(sigma.content())))
+    else:
+        scientist = build_scientist(spec, FAM)
+        replay = Scientist("replay", scientist.family, reference_conjecture(spec, FAM))
+    assert scientist.content is not None
+    for lang in languages:
+        fate = make_fate(lang, strategy, seed)
+        data = fate.prefix(horizon).items
+        expected = tuple(replay(Experience(data[:n])) for n in range(horizon + 1))
+        assert converges_at(scientist, fate, horizon).trace == expected
+        assert transformation_trace(scientist, fate, horizon) == reference_transformation_trace(
+            replay, fate, horizon
+        )
+    table = identify_class(scientist, languages, [strategy], [seed], horizon)
+    assert table == reference_identify_class(replay, languages, [strategy], [seed], horizon)
+
+
+def test_content_walk_asks_only_the_empty_prefix_and_first_occurrences():
+    asked = []
+    scientist = memorizer(FAM)
+    inner = scientist.conjecture
+    object.__setattr__(
+        scientist, "conjecture", lambda sigma: asked.append(len(sigma)) or inner(sigma)
+    )
+    fate = make_fate(finite(1, 5, 7), RepetitionHeavy(0.5), seed=3)
+    report = converges_at(scientist, fate, 30)
+    data = fate.prefix(30).items
+    assert asked == [0] + [n + 1 for n, d in enumerate(data) if d not in data[:n]]
+    assert len(asked) == 4 and report.stabilized

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CONTENT_SPECS,
     U,
     art,
     exp,
@@ -120,6 +121,13 @@ def test_enumeration_picks_first_consistent():
 def test_enumeration_falls_back_to_memorizer():
     sci = enumeration_scientist(FAM, [tail_index(2)])
     assert sci(exp("3 5")) == tail_index(3, 5)
+
+
+def test_enumeration_tells_artefacts_apart_by_rank():
+    # A foreign artefact with a member's rank counts as that member, as in the memorizer.
+    sci = enumeration_scientist(FAM, [tail_index(2), 0])
+    assert sci(Experience((Artefact("two", 2),))) == tail_index(2)
+    assert sci(Experience((Artefact("two", 2), art(4)))) == 0
 
 
 def test_enumeration_requires_nonempty_class():
@@ -327,13 +335,18 @@ def test_wrapper_canonicalizes_content():
     assert wrapped(exp("2 4")) == wrapped(exp("4 2 2"))
 
 
-def test_wrapper_over_memorizer_is_identity():
-    m = memorizer(FAM)
-    wrapped = set_driven_wrapper(m)
+@pytest.mark.parametrize(
+    "spec", ["memorizer", "dumb_visionary:odds", {"name": "enumeration", "class_order": [1, "{2}"]}],
+    ids=str,
+)
+def test_wrapper_over_a_content_base_gives_the_bases_indices(spec):
+    base = build_scientist(spec, FAM)
+    wrapped = set_driven_wrapper(base)
+    assert wrapped.content is base.content  # the base is set-driven already
     rng = derived_rng("wrapper-test")
     for _ in range(300):
         sigma = sample_experience(rng, U)
-        assert wrapped(sigma) == m(sigma)
+        assert wrapped(sigma) == base(sigma)
 
 
 def test_wrapper_treats_pause_only_like_empty():
@@ -469,12 +482,43 @@ def test_same_content_sampler_preserves_content():
 # folds: resuming from the last experience never changes an index
 
 
-def test_scientist_needs_exactly_one_of_conjecture_and_fold():
+def test_scientist_needs_exactly_one_of_conjecture_fold_and_content():
     fold = Fold(0, lambda n, d: n + 1, lambda n: n)
-    with pytest.raises(ValueError, match="exactly one"):
-        Scientist("neither", FAM)
-    with pytest.raises(ValueError, match="exactly one"):
-        Scientist("both", FAM, conjecture=len, fold=fold)
+    content = FAM.offset.__add__
+    for forms in (
+        {},
+        {"conjecture": len, "fold": fold},
+        {"conjecture": len, "content": content},
+        {"fold": fold, "content": content},
+        {"conjecture": len, "fold": fold, "content": content},
+    ):
+        with pytest.raises(ValueError, match="exactly one"):
+            Scientist("forms", FAM, **forms)
+
+
+@pytest.mark.parametrize("spec", CONTENT_SPECS, ids=str)
+def test_a_content_scientists_memo_gives_the_replays_indices(spec):
+    sci, reference = build_scientist(spec, FAM), reference_conjecture(spec, FAM)
+    assert sci.content is not None
+    # An extension, then calls that share a prefix with the memo but do not extend it.
+    for sigma in (exp("2 4"), exp("2 4 # 6 4"), exp("2 4 # 3"), exp("2"), exp(""), exp("7 # 7")):
+        assert sci(sigma) == reference(sigma), sigma
+    # Two artefacts of one rank set one bit, coded whole or as an extension.
+    clash = Experience((Artefact("a", 0), Artefact("0", 0), art(2)))
+    assert sci(clash) == reference(exp("0 2"))
+    assert sci(Experience(clash.items[:1])) == reference(exp("0"))
+    assert sci(Experience(clash.items[:2])) == reference(exp("0"))
+    assert sci(clash) == reference(exp("0 2"))
+
+
+@pytest.mark.parametrize("spec", CONTENT_SPECS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sigmas=st.lists(experiences(), max_size=8))
+def test_every_content_scientist_is_set_driven_and_matches_the_reference(spec, seed, sigmas):
+    sci, reference = build_scientist(spec, FAM), reference_conjecture(spec, FAM)
+    assert is_set_driven_sampled(sci, trials=50, seed=seed).passed
+    for sigma in sigmas:
+        assert sci(sigma) == reference(sigma), sigma
 
 
 def test_fold_conjecture_steps_only_the_new_data_of_an_extension():

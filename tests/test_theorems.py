@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import U, art, exp, standard_family
+from helpers import CONTENT_SPECS, U, art, exp, standard_family
 from limitlab import (
     Situation,
+    build_scientist,
     dumb_visionary,
     ever_changing,
     finite_language,
@@ -20,6 +21,7 @@ from limitlab import (
     transformativeness,
 )
 from limitlab.scientists import SampledCheck
+from limitlab.theorems import _require_novel_if_transformative
 
 FAM = standard_family()
 
@@ -118,3 +120,14 @@ def test_suite_reports_failures_instead_of_raising(
     items = theorems.run_theorem_suite(trials=50, seed=0)
     assert [item.passed for item in items] == [i != failing for i in range(4)]
     assert items[failing].summary.startswith(summary)
+
+
+@pytest.mark.parametrize("spec", CONTENT_SPECS, ids=str)
+def test_a_non_novel_append_still_asks_a_content_scientist_on_both_experiences(spec):
+    # The witnesses rate the scientist by asking it, never by its set-driven form.
+    sci = build_scientist(spec, FAM)
+    asked = []
+    inner = sci.conjecture
+    object.__setattr__(sci, "conjecture", lambda sigma: asked.append(sigma) or inner(sigma))
+    _require_novel_if_transformative(sci, exp("2 # 4"), art(2))
+    assert asked == [exp("2 # 4"), exp("2 # 4 2")]

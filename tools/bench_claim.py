@@ -17,7 +17,10 @@ runs its own ``bench/run.py`` in a fresh process:
 - one traced pair of the claimed workload, for its per-layer counts;
 - for a ``grid`` claim only, the tracemalloc peak of one ``identify_class``
   call: of three languages at 3 and at 100 seeds, and of twelve languages of
-  sizes 1-12 at 100 seeds.
+  sizes 1-12 at 100 seeds;
+- for a ``grid`` claim only, the time of ``identify_class`` on evens alone at
+  horizons 1000, 2000 and 4000, where every datum is novel. No workload runs
+  an infinite language through ``identify_class``.
 
 A metric is "unresolved" on a workload when either side's interquartile
 range exceeds the metric's declared bound, relative to that side's median,
@@ -66,6 +69,25 @@ tracemalloc.start()
 identify_class(memorizer(family), languages, [Canonical(), Padded(0.25), ShuffledWindow(4)],
                range(int(sys.argv[2])), 3000)
 print(tracemalloc.get_traced_memory()[1])
+"""
+
+# Horizons of the identify_class call on evens, and the calls timed per side.
+IDENTIFY_HORIZONS = (1000, 2000, 4000)
+IDENTIFY_REPEATS = 5
+IDENTIFY_CALL = """
+import sys, time
+sys.path.insert(0, "src")
+from limitlab import (Canonical, LanguageFamily, Padded, decimal_universe, evens_language,
+                      identify_class, memorizer, odds_language, registry_oracle)
+u = decimal_universe()
+evens = evens_language(u)
+family = LanguageFamily(u, (evens, odds_language(u)), registry_oracle())
+horizon, times = int(sys.argv[1]), []
+for _ in range(int(sys.argv[2])):
+    start = time.perf_counter()
+    identify_class(memorizer(family), [evens], [Canonical(), Padded(0.25)], [0, 1], horizon)
+    times.append(time.perf_counter() - start)
+print(min(times))
 """
 
 
@@ -125,10 +147,11 @@ def summary(runs: list, declared: dict) -> dict:
     return out
 
 
-def peak_bytes(side: Path, languages: str, seeds: int) -> int:
-    done = subprocess.run([sys.executable, "-c", PEAK_CALL, languages, str(seeds)], cwd=side,
+def call(side: Path, script: str, *args) -> str:
+    """The stdout of ``script`` run with ``args`` in a fresh process at the root of ``side``."""
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=side,
                           capture_output=True, text=True, check=True)
-    return int(done.stdout)
+    return done.stdout
 
 
 def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
@@ -171,7 +194,11 @@ def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
                     + (". 'tracemalloc_peak_bytes' is the peak of identify_class(memorizer, "
                        "LANGUAGES, [canonical, padded(0.25), shuffled-window(4)], SEEDS, 3000) "
                        "in a fresh process: 'three' is LANGUAGES = [evens, odds, {1,5,9}], "
-                       "'sizes' the finite languages {0}, {0,1}, ..., {0,...,11}"
+                       "'sizes' the finite languages {0}, {0,1}, ..., {0,...,11}. "
+                       "'identify_evens_s' is the least of "
+                       f"{IDENTIFY_REPEATS} timed identify_class(memorizer, [evens], "
+                       "[canonical, padded(0.25)], [0, 1], H) calls in a fresh process, "
+                       "parent first"
                        if claimed == "grid" else ""),
         "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),
@@ -188,10 +215,17 @@ def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
     if claimed == "grid":
         record["tracemalloc_peak_bytes"] = {
             f"{languages}_seeds_0-{seeds - 1}": {
-                "parent": peak_bytes(parent, languages, seeds),
-                "change": peak_bytes(CHANGE, languages, seeds),
+                "parent": int(call(parent, PEAK_CALL, languages, seeds)),
+                "change": int(call(CHANGE, PEAK_CALL, languages, seeds)),
             }
             for languages, seeds in PEAKS
+        }
+        record["identify_evens_s"] = {
+            f"H={horizon}": {
+                "parent": float(call(parent, IDENTIFY_CALL, horizon, IDENTIFY_REPEATS)),
+                "change": float(call(CHANGE, IDENTIFY_CALL, horizon, IDENTIFY_REPEATS)),
+            }
+            for horizon in IDENTIFY_HORIZONS
         }
     out = CHANGE / out_name
     out.write_text(json.dumps(record, indent=1) + "\n")
