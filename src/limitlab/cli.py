@@ -102,7 +102,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
-    if "seed" in overrides and overrides["seed"] is not None:
+    if overrides.get("seed") is not None:
+        if overrides.get("seeds") is not None:
+            raise ConfigError("give --seed or --seeds, not both")
         config["seeds"] = [overrides["seed"]]
     _check_count(config, "horizon", _MAX_HORIZON)
     _check_count(config, "trials")

@@ -61,15 +61,18 @@ def encode_finite_set(artefacts: Iterable[Artefact]) -> int:
     return sum(1 << rank for rank in {a.rank for a in artefacts})
 
 
+def _ranks(code: int, start: int = 0) -> list[int]:
+    """The ranks whose bits are set in a set code, from ``start`` up, ascending."""
+    # One linear scan of the binary digits, least significant first; shifting
+    # the big int instead would copy it once per bit.
+    bits = bin(code >> start)[:1:-1]
+    return [start + r for r, bit in enumerate(bits) if bit == "1"]
+
+
 def decode_finite_set(code: int, universe: Universe) -> frozenset:
     if code < 0:
         raise ValueError(f"set code must be >= 0, got {code}")
-    # One linear scan of the binary digits, least significant first; shifting
-    # the big int instead would copy it once per bit.
-    bits = bin(code)[:1:-1]
-    return frozenset(
-        universe.artefact(rank) for rank, bit in enumerate(bits) if bit == "1"
-    )
+    return frozenset(map(universe.artefact, _ranks(code)))
 
 
 def pair(x: int, y: int) -> int:
@@ -107,10 +110,6 @@ class LanguageRepr:
         return _set_literal(self.element(k).token for k in range(self.size))
 
 
-def _by_rank(artefacts: Iterable[Artefact]) -> list[Artefact]:
-    return sorted(artefacts, key=attrgetter("rank"))
-
-
 def _set_literal(tokens: Iterable[str]) -> str:
     """The literal of a finite set, from its members' tokens in rank order."""
     return "{" + ",".join(tokens) + "}"
@@ -135,7 +134,7 @@ def _tail_language(universe: Universe, code: int) -> LanguageRepr:
 
     def element(k: int) -> Artefact | None:
         if not decoded:
-            decoded.append(tuple(_by_rank(decode_finite_set(code, universe))))
+            decoded.append(tuple(map(universe.artefact, _ranks(code))))
         ordered = decoded[0]
         return ordered[k] if 0 <= k < len(ordered) else None
 
@@ -298,7 +297,7 @@ class LanguageFamily:
                 continue
             new = p - offset
             if code is None:
-                members = _by_rank(decode_finite_set(new, universe))
+                members = sorted(decode_finite_set(new, universe), key=attrgetter("rank"))
                 ranks = [a.rank for a in members]
                 tokens = [a.token for a in members]
             else:

@@ -7,12 +7,14 @@ index, and a prefix walk asks it only at first occurrences. The memorizer, the
 dumb visionary, the enumeration scientist and every set-driven wrap are
 content scientists. A ``Fold`` is an incremental learner: a state value, a
 step per datum and an emit. A replay scientist is any function of the whole
-experience. The first two forms derive ``conjecture`` with one memo of the
-last experience seen, so a call on an extension takes in only the new data,
-and any other call starts from the experience itself. Either way the index is
-a function of the experience alone, so a scientist value can be shared and
-re-invoked freely. The registry at the bottom names each builder for configs
-and experiment sweeps.
+experience. Every form has a fold view (``_as_fold``): a content scientist's
+state is its content code, a replay's is the data itself. The first two forms
+derive ``conjecture`` through one memo of the last experience seen, so a call
+on an extension steps only the new data, any other call starts from the
+experience itself, and the emit is asked only when the state changed. Either
+way the index is a function of the experience alone, so a scientist value can
+be shared and re-invoked freely. The registry at the bottom names each builder
+for configs and experiment sweeps.
 """
 
 from __future__ import annotations
@@ -20,15 +22,16 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import PAUSE, Datum, Experience, derived_rng
 from .families import (
     AnnotationFamily,
     LanguageFamily,
     LanguageRepr,
+    _ranks,
     pair,
     resolve_language,
 )
@@ -59,7 +62,9 @@ class Fold:
     """An incremental learner: the index on data d1..dn is ``emit(step(...step(init, d1)..., dn))``.
 
     States are immutable values (ints, and tuples of values and functions),
-    so a state can be kept and stepped further without copying.
+    so a state can be kept and stepped further without copying. An emit is a
+    pure function of the state, so a conjecture asks it again only when a
+    step changed the state (``!=``) and repeats the last index otherwise.
     """
 
     init: object
@@ -67,26 +72,34 @@ class Fold:
     emit: Callable[[object], int]
 
 
-def _resumable(fold: Fold) -> Callable[[Experience], int]:
-    """``fold`` as a conjecture that resumes from the last experience it saw.
+def _resumable(
+    start: Callable[[Experience], object],
+    step: Callable[[object, Datum], object],
+    emit: Callable[[object], int],
+) -> Callable[[Experience], int]:
+    """A conjecture that resumes from the last experience it saw.
 
-    The one memo is ``(items, state)``, replaced whole: a call whose items
-    extend the memo's steps only the new data, any other folds from ``init``.
+    The one memo is ``(items, state, index)``, replaced whole: a call whose
+    items extend the memo's steps only the new data, any other starts over
+    with ``start(sigma)``. The emit is asked only when the state changed, so
+    a datum that leaves the state as it was costs no emit.
     """
-    init, step, emit = fold.init, fold.step, fold.emit
-    memo = ((), init)
+    unseen = object()
+    memo: tuple = ((unseen,), unseen, None)  # no items extend it, no state equals it
 
     def conjecture(sigma: Experience) -> int:
         nonlocal memo
         items = sigma.items
-        seen, state = memo
+        seen, last, index = memo
         n = len(seen)
         if n > len(items) or items[:n] != seen:
-            n, state = 0, init
-        for d in items[n:]:
-            state = step(state, d)
-        memo = (items, state)
-        return emit(state)
+            state = start(sigma)
+        else:
+            state = reduce(step, items[n:], last)
+        if state != last:
+            index = emit(state)
+        memo = (items, state, index)
+        return index
 
     return conjecture
 
@@ -96,45 +109,12 @@ def _code_step(code: int, d: Datum) -> int:
     return code if d is PAUSE else code | 1 << d.rank
 
 
-def _code(data: Iterable[Datum]) -> int:
-    """The content code of some data, with no Python call per datum."""
+def _content_code(sigma: Experience) -> int:
+    """The content code of an experience, with no Python call per artefact."""
     code = 0
-    for d in data:
-        if d is not PAUSE:
-            code |= 1 << d.rank
+    for a in sigma.content():
+        code |= 1 << a.rank
     return code
-
-
-def _ranks(code: int, start: int = 0) -> list[int]:
-    """The ranks whose bits are set in a content code, from ``start`` up, ascending."""
-    bits = bin(code >> start)[:1:-1]  # least significant first
-    return [start + r for r, bit in enumerate(bits) if bit == "1"]
-
-
-def _from_content(content: Callable[[int], int]) -> Callable[[Experience], int]:
-    """An emit over the content code as a conjecture over experiences.
-
-    The one memo is ``(items, code, index)``, replaced whole. A call whose
-    items extend the memo's ORs in the ranks of the new data alone; any other
-    call codes ``sigma.content()``. The emit is asked only when the code
-    differs from the memo's, so a non-novel datum costs no emit.
-    """
-    memo: tuple = (None, -1, None)
-
-    def conjecture(sigma: Experience) -> int:
-        nonlocal memo
-        items = sigma.items
-        seen, last, index = memo
-        if seen is not None and len(seen) <= len(items) and items[: len(seen)] == seen:
-            code = last | _code(items[len(seen) :])
-        else:
-            code = _code(sigma.content())
-        if code != last:
-            index = content(code)
-        memo = (items, code, index)
-        return index
-
-    return conjecture
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +122,11 @@ class Scientist:
     """A named total deterministic map from experiences to family indices.
 
     Give exactly one of ``conjecture``, a replay function of the whole
-    experience; ``fold``, from which ``conjecture`` is then derived; or
-    ``content``, an emit over the content code (bit r set iff an artefact of
-    rank r was seen), from which ``conjecture`` is derived likewise. A content
-    scientist tells artefacts apart by rank, and is set-driven by construction.
+    experience; ``fold``; or ``content``, an emit over the content code (bit r
+    set iff an artefact of rank r was seen). A content scientist tells
+    artefacts apart by rank, and is set-driven by construction. For the last
+    two forms ``conjecture`` is derived from the scientist's fold view through
+    one memo that resumes from the last experience seen.
     """
 
     name: str
@@ -159,10 +140,15 @@ class Scientist:
             raise ValueError(
                 f"scientist {self.name} needs exactly one of conjecture, fold and content"
             )
-        if self.fold is not None:
-            object.__setattr__(self, "conjecture", _resumable(self.fold))
-        elif self.content is not None:
-            object.__setattr__(self, "conjecture", _from_content(self.content))
+        if self.conjecture is None:
+            fold = _as_fold(self)
+            init, step = fold.init, fold.step
+            start = (
+                _content_code
+                if self.content is not None
+                else lambda sigma: reduce(step, sigma.items, init)
+            )
+            object.__setattr__(self, "conjecture", _resumable(start, step, fold.emit))
 
     def __call__(self, sigma: Experience) -> int:
         return self.conjecture(sigma)
@@ -325,35 +311,28 @@ def last_novel(fam: LanguageFamily) -> Scientist:
 def set_driven_wrapper(base: Scientist) -> Scientist:
     """Feed the base only the canonical listing of the content: set-driven by construction.
 
-    The wrap is a content scientist. Its emit lists the code's ranks in order,
-    each as the universe's artefact of that rank, built once per wrap, and asks
-    the base on that listing. A content base is set-driven already, so the wrap
-    reuses its emit. A replay base is re-asked on the whole listing. A fold
-    base keeps one memo, replaced whole: the last code, its listing, and the
-    base's state after each prefix of the listing. An emit steps the base only
-    from the lowest rank whose bit changed. Artefacts are told apart by rank,
-    as within one universe. The kept states are O(k) values for a content of k
-    artefacts, so a base whose state after i artefacts holds i bits, like
-    ``last_novel``'s, holds Θ(k²) bits: the same order as
-    ``ConvergenceReport.trace``.
+    The wrap is a content scientist. A content base is set-driven already, so
+    the wrap reuses its emit. Any other base is relisted through its fold view
+    (``_as_fold``; a replay base's state is the listing itself, re-asked by its
+    emit): the wrap's emit lists the code's ranks in order, each as the
+    universe's artefact of that rank, built once per wrap, and steps the base
+    along that listing. It keeps one memo, replaced whole: the last code, its
+    listing, and the base's state after each prefix of the listing. An emit
+    steps the base only from the lowest rank whose bit changed. Artefacts are
+    told apart by rank, as within one universe. The kept states are O(k)
+    values for a content of k artefacts, so a base whose state after i
+    artefacts holds i bits or data, like ``last_novel``'s or a replay base's,
+    holds Θ(k²) of them: the same order as ``ConvergenceReport.trace``.
     """
     name, family = f"set_driven({base.name})", base.family
     if base.content is not None:
         return Scientist(name=name, family=family, content=base.content)
     artefact = cache(family.universe.artefact)  # each rank's artefact, built once
-    if base.fold is None:
-        conjecture = base.conjecture
-        return Scientist(
-            name=name,
-            family=family,
-            content=lambda code: conjecture(
-                Experience(tuple(map(artefact, _ranks(code))))
-            ),
-        )
-    init, step, emit = base.fold.init, base.fold.step, base.fold.emit
+    fold = _as_fold(base)
+    step, emit = fold.step, fold.emit
     # (code, its ranks in order, states), where states[i] is the base after
     # the first i of them. A published memo is never mutated.
-    memo: tuple = (0, [], [init])
+    memo: tuple = (0, [], [fold.init])
 
     def relisted(code: int) -> int:
         nonlocal memo

@@ -435,6 +435,9 @@ def test_strategy_spec_forms_agree_and_round_trip(text, params):
         ("identify", "--seeds", "a;b"),
         # No cell would run: the class is not empty, its texts are.
         ("identify", "--seeds", ";"),
+        # One flag would silently drop the other.
+        ("identify", "--seed", "3", "--seeds", "1;2"),
+        ("--seed", "3", "identify", "--seeds", "1;2"),
         ("identify", "--strategies", ";"),
         ("trace", "--strategy", "canonical:1"),
         ("trace", "--strategy", "zigzag"),

@@ -384,8 +384,8 @@ def test_wrapper_steps_a_fold_base_only_from_the_first_changed_rank():
     assert wrapped(exp("6")) == 1 and stepped == [6]  # not a superset: from the start
 
 
-# One wrapper per registered base with its defaults: the fold bases, the
-# replay enumeration, and set_driven over set_driven.
+# One wrapper per registered base with its defaults (the content bases, the
+# fold bases and set_driven over set_driven) and one over a user replay base.
 WRAP_CALLS = st.lists(
     st.one_of(
         st.tuples(st.just("extend"), st.integers(0, 12)),
@@ -399,12 +399,24 @@ WRAP_CALLS = st.lists(
 )
 
 
-@pytest.mark.parametrize("base", sorted(SCIENTISTS))
+def _last_two_listed():
+    # A replay scientist that reads the order of its data: the set of its last two artefacts.
+    return Scientist(
+        "last_two", FAM, lambda sigma: tail_index(*[d.rank for d in sigma if d is not PAUSE][-2:])
+    )
+
+
+@pytest.mark.parametrize("base", sorted(SCIENTISTS) + ["user"])
 @settings(max_examples=60, deadline=None)
 @given(calls=WRAP_CALLS)
 def test_one_shared_wrapper_agrees_with_a_fresh_base_over_any_call_sequence(base, calls):
-    wrapped = build_scientist({"name": "set_driven", "base": base}, FAM)
-    reference = reference_set_driven(base, FAM)
+    if base == "user":
+        user = _last_two_listed()  # a replay keeps no memo, so it serves as its own fresh base
+        wrapped = set_driven_wrapper(user)
+        reference = lambda sigma: user.conjecture(canonical_experience(sigma.content()))
+    else:
+        wrapped = build_scientist({"name": "set_driven", "base": base}, FAM)
+        reference = reference_set_driven(base, FAM)
     items: tuple = ()
     other: tuple = (art(3), PAUSE, art(1))  # the second experience of an interleaving
     for kind, arg in calls:
@@ -498,11 +510,17 @@ def test_scientist_needs_exactly_one_of_conjecture_fold_and_content():
 
 @pytest.mark.parametrize("spec", CONTENT_SPECS, ids=str)
 def test_a_content_scientists_memo_gives_the_replays_indices(spec):
-    sci, reference = build_scientist(spec, FAM), reference_conjecture(spec, FAM)
-    assert sci.content is not None
+    built, reference = build_scientist(spec, FAM), reference_conjecture(spec, FAM)
+    assert built.content is not None
+    emitted = []
+    sci = Scientist(built.name, FAM, content=lambda code: emitted.append(code) or built.content(code))
     # An extension, then calls that share a prefix with the memo but do not extend it.
     for sigma in (exp("2 4"), exp("2 4 # 6 4"), exp("2 4 # 3"), exp("2"), exp(""), exp("7 # 7")):
         assert sci(sigma) == reference(sigma), sigma
+    assert emitted == [0b10100, 0b1010100, 0b11100, 0b100, 0, 0b10000000]
+    # A content left as it was asks no emit, on an extension or on a fresh start.
+    assert sci(exp("7 # 7 7 #")) == sci(exp("# 7")) == reference(exp("7"))
+    assert len(emitted) == 6
     # Two artefacts of one rank set one bit, coded whole or as an extension.
     clash = Experience((Artefact("a", 0), Artefact("0", 0), art(2)))
     assert sci(clash) == reference(exp("0 2"))
@@ -522,19 +540,32 @@ def test_every_content_scientist_is_set_driven_and_matches_the_reference(spec, s
 
 
 def test_fold_conjecture_steps_only_the_new_data_of_an_extension():
-    stepped = []
+    stepped, emitted = [], []
 
     def step(n, d):
         stepped.append(d)
         return n + 1
 
-    sci = Scientist("counting", FAM, fold=Fold(0, step, lambda n: n))
-    assert sci(exp("2 4")) == 2 and stepped == [art(2), art(4)]
+    def emit(n):
+        emitted.append(n)
+        return n
+
+    sci = Scientist("counting", FAM, fold=Fold(0, step, emit))
+    assert sci(exp("2 4")) == 2 and stepped == [art(2), art(4)] and emitted == [2]
     stepped.clear()
-    assert sci(exp("2 4 # 6")) == 4 and stepped == [PAUSE, art(6)]
+    assert sci(exp("2 4 # 6")) == 4 and stepped == [PAUSE, art(6)] and emitted == [2, 4]
     stepped.clear()
-    assert sci(exp("2 4 # 6")) == 4 and stepped == []
-    assert sci(exp("2 5")) == 2 and stepped == [art(2), art(5)]
+    assert sci(exp("2 4 # 6")) == 4 and stepped == [] and emitted == [2, 4]
+    assert sci(exp("2 5")) == 2 and stepped == [art(2), art(5)] and emitted == [2, 4, 2]
+    # A step that leaves the state as it was asks no emit: a pause or a seen artefact on
+    # last_novel, on an extension or on a fresh start.
+    fold = last_novel(FAM).fold
+    emitted.clear()
+    sci = Scientist("last_novel", FAM, fold=Fold(fold.init, fold.step, lambda s: emit(s[1])))
+    assert sci(exp("2 4")) == 1 << 4 and emitted == [1 << 4]
+    assert sci(exp("2 4 #")) == sci(exp("2 4 # 2")) == sci(exp("2 4 # 2 #")) == 1 << 4
+    assert sci(exp("2 4 # 2 # 6")) == 1 << 6 and emitted == [1 << 4, 1 << 6]
+    assert sci(exp("2 4 6")) == 1 << 6 and emitted == [1 << 4, 1 << 6]
 
 
 def _user_scientist():
@@ -635,6 +666,10 @@ def _walk_shared_by_threads(spec, ranks: int) -> None:
 
 def test_a_fold_scientist_shared_by_threads_stays_exact():
     _walk_shared_by_threads({"name": "confidence_annotating", "initial_confidence": 2}, 10)
+
+
+def test_a_content_scientist_shared_by_threads_stays_exact():
+    _walk_shared_by_threads({"name": "enumeration", "class_order": ["{2}", "evens", "{2,4}"]}, 10)
 
 
 def test_a_set_driven_wrap_shared_by_threads_stays_exact():
