@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .core import PAUSE, Datum, Experience, Fate, Schedule, TextStrategy, is_pause
+from .core import PAUSE, Datum, Experience, Fate, Schedule, TextStrategy, _key_code, is_pause
 # Unused here, but bench/tests checks that the span tracer restores identification.make_fate.
 from .core import make_fate  # noqa: F401
 from .families import Equality, LanguageFamily, LanguageRepr
@@ -96,51 +97,67 @@ def _check_horizon(horizon: int) -> None:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
+def _first_steps(seq: Sequence, pause) -> list[int]:
+    """The prefix lengths n at which ``seq[n - 1]`` occurs for the first time, ascending.
+
+    ``pause`` is left out. Read backwards, each value's first position is the
+    last one written, so the map is built in C with no Python step per position.
+    """
+    first = dict(zip(reversed(seq), range(len(seq), 0, -1)))
+    first.pop(pause, None)
+    return sorted(first.values())
+
+
+def _asked(scientist: Scientist, data: tuple, steps: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """``(n, index)`` for each prefix length n in ``steps``: the conjecture on ``data[:n]``."""
+    conjecture = scientist.conjecture
+    return ((n, conjecture(Experience(data[:n]))) for n in steps)
+
+
 def _walk(scientist: Scientist, data: tuple) -> Iterator[int]:
     """The conjecture on each prefix ``data[:n]``, for n from 0 through ``len(data)``.
 
     The one prefix walk: every limit check reads its hypothesis sequence here.
     A content scientist conjectures from the content alone, so its index can
     move only where a datum occurs for the first time. It is asked on the
-    empty prefix and at each first occurrence, and its index is repeated
-    everywhere else. Any other scientist is asked on every prefix.
+    empty prefix and at each first occurrence (``_first_steps``), and its
+    index is repeated everywhere else. Any other scientist is asked on every
+    prefix.
     """
-    conjecture = scientist.conjecture
     if scientist.content is None:
+        conjecture = scientist.conjecture
         for n in range(len(data) + 1):
             yield conjecture(Experience(data[:n]))
         return
-    index = conjecture(Experience(data[:0]))
-    yield index
-    seen = {PAUSE}
-    for n, d in enumerate(data, 1):
-        if d not in seen:
-            seen.add(d)
-            index = conjecture(Experience(data[:n]))
-        yield index
+    n = index = 0
+    for step, asked in _asked(scientist, data, [0, *_first_steps(data, PAUSE)]):
+        yield from repeat(index, step - n)
+        n, index = step, asked
+    yield from repeat(index, len(data) + 1 - n)
 
 
-def _settle(indices: Iterable[int]) -> tuple[int | None, int | None]:
+def _settle(asked: Iterable[tuple[int, int]], horizon: int) -> tuple[int | None, int | None]:
     """The last step whose index differs from its predecessor's (None if none), and the settled one.
 
-    The settled index is the final index, or None if it changed at the last step:
-    a walk stabilized iff no change happened at the horizon itself.
+    ``asked`` holds ``(step, index)`` pairs in step order from step 0, each
+    index holding until the next pair's step. The settled index is the final
+    index, or None if it changed at the horizon: a walk stabilized iff no
+    change happened at the horizon itself.
     """
-    indices = iter(indices)
-    final = next(indices)
+    asked = iter(asked)
+    _, final = next(asked)
     last_change = None
-    n = 0
-    for n, index in enumerate(indices, 1):
+    for n, index in asked:
         if index != final:
             last_change, final = n, index
-    return last_change, None if last_change == n else final
+    return last_change, None if last_change == horizon else final
 
 
 def converges_at(scientist: Scientist, fate: Fate, horizon: int) -> ConvergenceReport:
     """Evaluate the scientist on every prefix up to the horizon."""
     _check_horizon(horizon)
     trace = tuple(_walk(scientist, fate.prefix(horizon).items))
-    last_change, settled = _settle(trace)
+    last_change, settled = _settle(enumerate(trace), horizon)
     return ConvergenceReport(
         horizon=horizon,
         trace=trace,
@@ -268,15 +285,18 @@ def identify_class(
     its input-order slot. Within one language, two schedules with the same key
     give the same text up to the horizon; a scientist is a deterministic map
     from experiences to indices, so the two cells have the same hypothesis
-    sequence and the same row. Each distinct text is walked once (``_walk``:
-    a content scientist, like the memorizer, is asked only at the empty prefix
-    and at first occurrences), keeping only its verdict and last change step,
-    never its trace. The memo ends with its language, and nothing is kept
-    between calls. A finite language of at most 128 members takes one byte per
-    position of key, and an infinite one's keys are the schedules themselves.
-    Memory is the schedules, at 8 bytes per position, plus one size's distinct
-    keys. An empty class is vacuous, but a class with no strategy or no seed
-    has no text to run and raises ValueError.
+    sequence and the same row. Each distinct text is walked once, keeping only
+    its settled index and last change step, never its trace, and each settled
+    index of a language is compared with it once. Walks go key by key: a key's
+    first occurrences (``_first_steps``, -1 a pause) are the text's for every
+    language of the size, so they are found once per key, and a content
+    scientist, like the memorizer, is asked only at the empty prefix and at
+    them, on a text read only up to the last. Any other scientist is asked on
+    every prefix. Nothing is kept between calls. A finite language of at most
+    128 members takes one byte per position of key, and an infinite one's keys
+    are the schedules themselves. Memory is the schedules, at 8 bytes per
+    position, plus one size's distinct keys. An empty class is vacuous, but a
+    class with no strategy or no seed has no text to run and raises ValueError.
     """
     _check_horizon(horizon)
     languages = list(languages)
@@ -292,21 +312,28 @@ def identify_class(
     by_size: dict = {}
     for slot, lang in enumerate(languages):
         by_size.setdefault(lang.size, []).append(slot)
-    family = scientist.family
+    family, every = scientist.family, scientist.content is None  # asked on every prefix
     rows: list = [None] * len(languages)
     for size, slots in by_size.items():
         interned: dict = {}  # equal keys share one object, so memory is the distinct keys
         keys = [interned.setdefault(key, key) for key in (s.key(size) for *_, s in texts)]
-        for slot in slots:
-            lang = languages[slot]
-            described, text = lang.describe(), Schedule.reader(lang)
-            walked: dict = {}
-            for key in keys:
-                if key not in walked:
-                    last_change, settled = _settle(_walk(scientist, text(key)))
-                    walked[key] = (_label(*_verdict(_final(family, lang, settled))), last_change)
+        code = _key_code(size)
+        langs = [(languages[slot], Schedule.reader(languages[slot]), {}) for slot in slots]
+        walked: dict = {}
+        for key in interned:
+            ordinals = memoryview(key).cast(code)
+            steps = range(horizon + 1) if every else array("q", [0, *_first_steps(ordinals, -1)])
+            read = memoryview(key)[: steps[-1] * ordinals.itemsize]
+            walked[key] = cells = []
+            for lang, text, verdicts in langs:
+                last_change, settled = _settle(_asked(scientist, text(read), steps), horizon)
+                if settled not in verdicts:
+                    verdicts[settled] = _label(*_verdict(_final(family, lang, settled)))
+                cells.append((verdicts[settled], last_change))
+        for column, (slot, (lang, *_)) in enumerate(zip(slots, langs)):
+            described = lang.describe()
             rows[slot] = [
-                ExperimentRow(described, label, seed, horizon, *walked[key])
+                ExperimentRow(described, label, seed, horizon, *walked[key][column])
                 for (label, seed, _), key in zip(texts, keys)
             ]
     return ExperimentTable(rows=tuple(chain.from_iterable(rows)), horizon=horizon)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from limitlab import (
     Experience,
     LanguageFamily,
     Outcome,
+    PAUSE,
     Padded,
     RepetitionHeavy,
     Schedule,
@@ -49,6 +51,7 @@ from limitlab import (
     ever_changing,
     fate_from_function,
     finite_language,
+    identification,
     identifies_text,
     identify_class,
     is_pause,
@@ -637,3 +640,106 @@ def test_content_walk_asks_only_the_empty_prefix_and_first_occurrences():
     data = fate.prefix(30).items
     assert asked == [0] + [n + 1 for n, d in enumerate(data) if d not in data[:n]]
     assert len(asked) == 4 and report.stabilized
+
+
+def _seen_set_steps(seq, pause):
+    seen, steps = {pause}, []
+    for n, d in enumerate(seq, 1):
+        if d not in seen:
+            seen.add(d)
+            steps.append(n)
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.lists(st.one_of(st.just(PAUSE), st.integers(0, 9).map(art))),
+    narrow=st.lists(st.integers(-1, 127)),
+    wide=st.lists(st.one_of(st.integers(-1, 9), st.integers(-1, 2**63 - 1))),
+)
+def test_first_steps_match_a_seen_set_scan(data, narrow, wide):
+    first_steps = identification._first_steps
+    assert first_steps(tuple(data), PAUSE) == _seen_set_steps(data, PAUSE)
+    for code, ordinals in (("b", narrow), ("q", wide)):
+        key = memoryview(array(code, ordinals).tobytes()).cast(code)
+        assert first_steps(key, -1) == _seen_set_steps(ordinals, -1)
+    assert first_steps((), PAUSE) == first_steps(memoryview(b"").cast("b"), -1) == []
+
+
+@pytest.mark.parametrize("spec", CONTENT_SPECS, ids=str)
+def test_content_scientists_identify_grids_as_their_replay_references(spec):
+    # The empty language, one of 130 members (eight-byte keys) and the infinite ones.
+    scientist = build_scientist(spec, FAM)
+    replay = Scientist("replay", scientist.family, reference_conjecture(spec, FAM))
+    languages = GRID_LANGUAGES + GRID_LANGUAGES[1:3]
+    seeds = [0, 1, 2**64 - 1]
+    table = identify_class(scientist, languages, GRID_STRATEGIES, seeds, 14)
+    assert table == reference_identify_class(replay, languages, GRID_STRATEGIES, seeds, 14)
+
+
+def _distinct_texts(languages, strategies, seeds, horizon):
+    """Each language slot's distinct texts, read from ``make_fate`` alone."""
+    return [
+        {make_fate(lang, strategy, seed).prefix(horizon).items
+         for strategy in strategies for seed in seeds}
+        for lang in languages
+    ]
+
+
+COUNTED_LANGUAGES = [finite(1, 5), finite(2), EVENS, finite(3, 9), finite(1, 5), finite()]
+COUNTED_STRATEGIES = [Canonical(), Padded(0.25), ShuffledWindow(3), RepetitionHeavy(0.5)]
+
+
+def test_identify_class_asks_a_content_scientist_at_first_occurrences_only():
+    asked = []
+    scientist = memorizer(FAM)
+    inner = scientist.conjecture
+    object.__setattr__(
+        scientist, "conjecture", lambda sigma: asked.append(len(sigma)) or inner(sigma)
+    )
+    seeds = [0, 1, 2, 3]
+    table = identify_class(scientist, COUNTED_LANGUAGES, COUNTED_STRATEGIES, seeds, 16)
+    texts = _distinct_texts(COUNTED_LANGUAGES, COUNTED_STRATEGIES, seeds, 16)
+    expected = sorted(
+        n for distinct in texts for text in distinct
+        for n in [0, *_seen_set_steps(text, PAUSE)]
+    )
+    # Once on the empty prefix and once per first occurrence, per (language, distinct text).
+    assert sorted(asked) == expected
+    assert table == reference_identify_class(
+        memorizer(FAM), COUNTED_LANGUAGES, COUNTED_STRATEGIES, seeds, 16
+    )
+
+
+class _CountedComparisons:
+    """A family whose ``compare_index_with`` records each (language, index) it is asked."""
+
+    def __init__(self, family):
+        self.family, self.asked = family, []
+
+    def compare_index_with(self, index, lang):
+        self.asked.append((lang.describe(), index))
+        return self.family.compare_index_with(index, lang)
+
+
+@pytest.mark.parametrize("name", ["memorizer", "last_novel"])
+def test_identify_class_compares_each_settled_index_once_per_language(name):
+    counted = _CountedComparisons(FAM)
+    base = build_scientist(name, FAM)
+    scientist = Scientist("counted", counted, base.conjecture)
+    seeds = [0, 1, 2, 3]
+    table = identify_class(scientist, COUNTED_LANGUAGES, COUNTED_STRATEGIES, seeds, 16)
+    expected = []
+    for lang, distinct in zip(COUNTED_LANGUAGES, _distinct_texts(
+        COUNTED_LANGUAGES, COUNTED_STRATEGIES, seeds, 16
+    )):
+        traces = [[base(Experience(text[:n])) for n in range(17)] for text in distinct]
+        settled = {trace[-1] for trace in traces if trace[-1] == trace[-2]}
+        expected += [(lang.describe(), index) for index in settled]
+    assert sorted(counted.asked) == sorted(expected)
+    # Settled indices repeat across texts, so the memo saves comparisons.
+    assert len(counted.asked) < sum(r.verdict != "NotIdentified(no-stabilization)"
+                                    for r in table.rows)
+    assert table == reference_identify_class(
+        base, COUNTED_LANGUAGES, COUNTED_STRATEGIES, seeds, 16
+    )

@@ -19,8 +19,10 @@ runs its own ``bench/run.py`` in a fresh process:
   call: of three languages at 3 and at 100 seeds, and of twelve languages of
   sizes 1-12 at 100 seeds;
 - for a ``grid`` claim only, the time of ``identify_class`` on evens alone at
-  horizons 1000, 2000 and 4000, where every datum is novel. No workload runs
-  an infinite language through ``identify_class``.
+  horizons 1000, 2000 and 4000, where every datum is novel (no workload runs
+  an infinite language through ``identify_class``), and on a class like a
+  ``grid`` job's, 16 finite languages over 4 ranks, at horizons 1000 and 4000
+  (the workload runs only 32 and 64).
 
 A metric is "unresolved" on a workload when either side's interquartile
 range exceeds the metric's declared bound, relative to that side's median,
@@ -71,21 +73,33 @@ identify_class(memorizer(family), languages, [Canonical(), Padded(0.25), Shuffle
 print(tracemalloc.get_traced_memory()[1])
 """
 
-# Horizons of the identify_class call on evens, and the calls timed per side.
-IDENTIFY_HORIZONS = (1000, 2000, 4000)
+# The identify_class calls timed per side, each the least of IDENTIFY_REPEATS in a fresh
+# process: evens alone, where every datum is novel, and a grid job's class, every subset
+# of four ranks, whose texts repeat data; each at its horizons.
+IDENTIFY_HORIZONS = {"evens": (1000, 2000, 4000), "finite": (1000, 4000)}
 IDENTIFY_REPEATS = 5
 IDENTIFY_CALL = """
 import sys, time
 sys.path.insert(0, "src")
-from limitlab import (Canonical, LanguageFamily, Padded, decimal_universe, evens_language,
-                      identify_class, memorizer, odds_language, registry_oracle)
+from limitlab import (Canonical, LanguageFamily, Padded, ShuffledWindow, decimal_universe,
+                      evens_language, identify_class, memorizer, odds_language, registry_oracle,
+                      resolve_language)
 u = decimal_universe()
 evens = evens_language(u)
 family = LanguageFamily(u, (evens, odds_language(u)), registry_oracle())
-horizon, times = int(sys.argv[1]), []
-for _ in range(int(sys.argv[2])):
+if sys.argv[1] == "evens":
+    languages, strategies, seeds = [evens], [Canonical(), Padded(0.25)], [0, 1]
+else:  # like a grid job: 16 languages over 4 ranks, 3 strategies, 3 seeds
+    ranks = (3, 8, 17, 29)
+    languages = [
+        resolve_language("{%s}" % ",".join(str(r) for i, r in enumerate(ranks) if m >> i & 1), u)
+        for m in range(16)
+    ]
+    strategies, seeds = [Canonical(), Padded(0.25), ShuffledWindow(4)], [0, 1, 2]
+horizon, times = int(sys.argv[2]), []
+for _ in range(int(sys.argv[3])):
     start = time.perf_counter()
-    identify_class(memorizer(family), [evens], [Canonical(), Padded(0.25)], [0, 1], horizon)
+    identify_class(memorizer(family), languages, strategies, seeds, horizon)
     times.append(time.perf_counter() - start)
 print(min(times))
 """
@@ -198,7 +212,9 @@ def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
                        "'identify_evens_s' is the least of "
                        f"{IDENTIFY_REPEATS} timed identify_class(memorizer, [evens], "
                        "[canonical, padded(0.25)], [0, 1], H) calls in a fresh process, "
-                       "parent first"
+                       "parent first. 'identify_finite_s' is the same for identify_class("
+                       "memorizer, the 16 languages over ranks {3,8,17,29}, [canonical, "
+                       "padded(0.25), shuffled-window(4)], [0, 1, 2], H), like a grid job"
                        if claimed == "grid" else ""),
         "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),
@@ -220,13 +236,14 @@ def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
             }
             for languages, seeds in PEAKS
         }
-        record["identify_evens_s"] = {
-            f"H={horizon}": {
-                "parent": float(call(parent, IDENTIFY_CALL, horizon, IDENTIFY_REPEATS)),
-                "change": float(call(CHANGE, IDENTIFY_CALL, horizon, IDENTIFY_REPEATS)),
+        for languages, horizons in IDENTIFY_HORIZONS.items():
+            record[f"identify_{languages}_s"] = {
+                f"H={horizon}": {
+                    side: float(call(path, IDENTIFY_CALL, languages, horizon, IDENTIFY_REPEATS))
+                    for side, path in (("parent", parent), ("change", CHANGE))
+                }
+                for horizon in horizons
             }
-            for horizon in IDENTIFY_HORIZONS
-        }
     out = CHANGE / out_name
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
