@@ -294,18 +294,11 @@ def cmd_theorems(config: dict) -> int:
 
 
 def cmd_list(config: dict) -> int:
-    print("universes:")
-    for name in UNIVERSES:
-        print(f"  {name}")
-    print("languages:")
-    for name in LANGUAGES:
-        print(f"  {name}")
-    print("scientists:")
-    for name in sorted(SCIENTISTS):
-        print(f"  {name}")
-    print("strategies:")
-    for name in STRATEGIES:
-        print(f"  {name}")
+    for title, names in (
+        ("universes", UNIVERSES), ("languages", LANGUAGES),
+        ("scientists", sorted(SCIENTISTS)), ("strategies", STRATEGIES),
+    ):
+        print(f"{title}:", *(f"  {name}" for name in names), sep="\n")
     return 0
 
 

@@ -3,10 +3,10 @@
 A universe fixes a bijective enumeration of every artefact that can ever
 occur. Experiences are finite datum sequences, fates are total generators of
 infinite datum sequences. A text strategy is a language-free schedule of
-pauses and ordinals with configurable pause, order, and repetition texture.
-A language's text is that schedule relabelled: the schedule read as ordinals
-(-1 a pause), reduced by the language's size (``_reduction``), and read as
-data by one reader (``_reader``), its element r standing for ordinal r.
+ordinals, -1 a pause, with configurable pause, order, and repetition texture.
+A language's text is that schedule relabelled: reduced by the language's size
+(``_reduction``), and read as data by one reader (``_reader``), its element r
+standing for ordinal r.
 ``make_fate`` streams it; ``Schedule`` draws a schedule once and keys it.
 """
 
@@ -300,8 +300,8 @@ def _check_rate(value, what: str) -> None:
 class _Strategy:
     """Shared spelling of the text strategies, and their one contract.
 
-    A strategy's ``schedule(seed)`` is an infinite stream of pauses and
-    ordinals that depends on the seed alone, and in which every ordinal k
+    A strategy's ``schedule(seed)`` is an infinite stream of ordinals, -1 a
+    pause, that depends on the seed alone, and in which every ordinal k
     appears by a computable deadline. A language's text is that schedule
     relabelled (``make_fate``), so it lists the language exhaustively.
 
@@ -333,7 +333,7 @@ class Canonical(_Strategy):
 
     name: ClassVar[str] = "canonical"
 
-    def schedule(self, seed: int) -> Iterator[int | Pause]:
+    def schedule(self, seed: int) -> Iterator[int]:
         return count()
 
 
@@ -347,14 +347,14 @@ class Padded(_Strategy):
     def __post_init__(self) -> None:
         _check_rate(self.pause_density, "pause density")
 
-    def schedule(self, seed: int) -> Iterator[int | Pause]:
+    def schedule(self, seed: int) -> Iterator[int]:
         pauses_per_block = int(self.pause_density * _PAD_BLOCK)
         ordinals = count()
         for block in count():
             rng = derived_rng("padded", seed, block)
             pause_slots = set(rng.sample(range(_PAD_BLOCK), pauses_per_block))
             for slot in range(_PAD_BLOCK):
-                yield PAUSE if slot in pause_slots else next(ordinals)
+                yield -1 if slot in pause_slots else next(ordinals)
 
 
 @dataclass(frozen=True)
@@ -371,7 +371,7 @@ class ShuffledWindow(_Strategy):
                 f"window size must be an integer from 1 to {1 << 16}, got {self.window!r}"
             )
 
-    def schedule(self, seed: int) -> Iterator[int | Pause]:
+    def schedule(self, seed: int) -> Iterator[int]:
         w = self.window
         for block in count():
             chunk = list(range(block * w, (block + 1) * w))
@@ -389,7 +389,7 @@ class RepetitionHeavy(_Strategy):
     def __post_init__(self) -> None:
         _check_rate(self.repeat_rate, "repeat rate")
 
-    def schedule(self, seed: int) -> Iterator[int | Pause]:
+    def schedule(self, seed: int) -> Iterator[int]:
         for k in count():
             rng = derived_rng("repeat", seed, k)
             reps = 1 + (rng.random() < self.repeat_rate) + (rng.random() < self.repeat_rate)
@@ -404,10 +404,10 @@ STRATEGIES: dict[str, type[TextStrategy]] = {
 
 
 def _ordinals(strategy: TextStrategy, seed: int) -> Callable[[], Iterator[int]]:
-    """Fresh reads of ``strategy``'s schedule at ``seed`` as ordinals, -1 standing for a pause."""
+    """Fresh reads of ``strategy``'s schedule at ``seed``."""
     if not isinstance(strategy, TextStrategy):
         raise TypeError(f"unknown text strategy: {strategy!r}")
-    return lambda: (-1 if k is PAUSE else k for k in strategy.schedule(seed))
+    return partial(strategy.schedule, seed)
 
 
 def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fate:

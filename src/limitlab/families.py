@@ -57,8 +57,11 @@ class IndeterminateError(LookupError):
 
 
 def encode_finite_set(artefacts: Iterable[Artefact]) -> int:
-    """Bit-set code of a finite artefact set: sum of 2**rank over the distinct member ranks."""
-    return sum(1 << rank for rank in {a.rank for a in artefacts})
+    """Bit-set code of a finite artefact set: bit r is set iff some member has rank r."""
+    code = 0
+    for a in artefacts:
+        code |= 1 << a.rank
+    return code
 
 
 def _ranks(code: int, start: int = 0) -> list[int]:

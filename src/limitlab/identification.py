@@ -364,15 +364,15 @@ def transformation_trace(
 
     Each prefix's index is read once, from ``_walk``. The step's datum is the
     artefact appended to ``data[:n]``, so its flags follow from the adjacent
-    indices ``indices[n]`` and ``indices[n + 1]`` and from the artefacts seen
-    so far, exactly as the schemas would compute them on
-    ``Situation(scientist, data[:n])``.
+    indices ``indices[n]`` and ``indices[n + 1]`` and from whether it occurs
+    first there (``_first_steps``), exactly as the schemas would compute them
+    on ``Situation(scientist, data[:n])``.
     """
     _check_horizon(horizon)
     data = fate.prefix(horizon + 1).items
     indices = tuple(_walk(scientist, data))
+    first = set(_first_steps(data, PAUSE))
     family = scientist.family
-    seen: set = set()
     steps = []
     for n in range(horizon + 1):
         datum = data[n]
@@ -380,8 +380,7 @@ def transformation_trace(
         if is_pause(datum):
             novel = transformative = semantic = None
         else:
-            novel = int(datum not in seen)
-            seen.add(datum)
+            novel = int(n + 1 in first)
             transformative = int(before != after)
             semantic = change_verdict(family.semantic_equals(before, after))
         steps.append(

@@ -32,6 +32,7 @@ from .families import (
     LanguageFamily,
     LanguageRepr,
     _ranks,
+    encode_finite_set,
     pair,
     resolve_language,
 )
@@ -109,14 +110,6 @@ def _code_step(code: int, d: Datum) -> int:
     return code if d is PAUSE else code | 1 << d.rank
 
 
-def _content_code(sigma: Experience) -> int:
-    """The content code of an experience, with no Python call per artefact."""
-    code = 0
-    for a in sigma.content():
-        code |= 1 << a.rank
-    return code
-
-
 @dataclass(frozen=True, eq=False)
 class Scientist:
     """A named total deterministic map from experiences to family indices.
@@ -144,7 +137,7 @@ class Scientist:
             fold = _as_fold(self)
             init, step = fold.init, fold.step
             start = (
-                _content_code
+                (lambda sigma: encode_finite_set(sigma.content()))
                 if self.content is not None
                 else lambda sigma: reduce(step, sigma.items, init)
             )

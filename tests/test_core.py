@@ -283,6 +283,27 @@ def test_integer_density_keeps_its_label():
     assert str(RepetitionHeavy(0)) == "repetition-heavy(0)"
 
 
+# A few parameters of each registered strategy, ends of its range included.
+SCHEDULE_PARAMS = {
+    "canonical": [""],
+    "padded": ["0", "0.25", "0.875"],
+    "shuffled-window": ["1", "4", "7"],
+    "repetition-heavy": ["0", "0.5", "0.9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_a_schedule_is_ordinals_with_minus_one_at_each_pause(name, seed):
+    # An infinite language's text pauses exactly where the schedule does.
+    for param in SCHEDULE_PARAMS[name]:
+        strategy = STRATEGIES[name].parse(param)
+        schedule = list(islice(strategy.schedule(seed), 64))
+        assert all(type(k) is int and k >= -1 for k in schedule), (strategy, schedule)
+        text = make_fate(EVENS, strategy, seed).prefix(64)
+        assert [k == -1 for k in schedule] == list(map(is_pause, text)), strategy
+
+
 def test_make_fate_rejects_a_non_strategy():
     with pytest.raises(TypeError, match="unknown text strategy"):
         make_fate(TWO_FOUR, "canonical")

@@ -22,7 +22,8 @@ runs its own ``bench/run.py`` in a fresh process:
   horizons 1000, 2000 and 4000, where every datum is novel (no workload runs
   an infinite language through ``identify_class``), and on a class like a
   ``grid`` job's, 16 finite languages over 4 ranks, at horizons 1000 and 4000
-  (the workload runs only 32 and 64).
+  (the workload runs only 32 and 64); each horizon in alternating
+  fresh-process pairs, the parent first in even pairs, as the workloads are.
 
 A metric is "unresolved" on a workload when either side's interquartile
 range exceeds the metric's declared bound, relative to that side's median,
@@ -42,6 +43,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 CHANGE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("witness", "trace", "grid", "bc")
@@ -73,9 +75,10 @@ identify_class(memorizer(family), languages, [Canonical(), Padded(0.25), Shuffle
 print(tracemalloc.get_traced_memory()[1])
 """
 
-# The identify_class calls timed per side, each the least of IDENTIFY_REPEATS in a fresh
-# process: evens alone, where every datum is novel, and a grid job's class, every subset
-# of four ranks, whose texts repeat data; each at its horizons.
+# The identify_class calls timed in PAIRS alternating pairs, each side the least of
+# IDENTIFY_REPEATS calls in a fresh process: evens alone, where every datum is novel, and
+# a grid job's class, every subset of four ranks, whose texts repeat data; each at its
+# horizons.
 IDENTIFY_HORIZONS = {"evens": (1000, 2000, 4000), "finite": (1000, 4000)}
 IDENTIFY_REPEATS = 5
 IDENTIFY_CALL = """
@@ -114,11 +117,12 @@ def bench(side: Path, *args: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def pair(parent: Path, parent_first: bool, *args: str) -> dict:
+def pair(parent: Path, parent_first: bool, measure: Callable, *args) -> dict:
+    """``measure(side, *args)`` on each side, one after the other, in the order given."""
     order = [("parent", parent), ("change", CHANGE)]
     if not parent_first:
         order.reverse()
-    return {name: bench(side, *args) for name, side in order}
+    return {name: measure(side, *args) for name, side in order}
 
 
 def src_digest(side: Path) -> str:
@@ -168,6 +172,21 @@ def call(side: Path, script: str, *args) -> str:
     return done.stdout
 
 
+def identify_time(side: Path, languages: str, horizon: int) -> float:
+    return float(call(side, IDENTIFY_CALL, languages, horizon, IDENTIFY_REPEATS))
+
+
+def timed_pairs(parent: Path, languages: str, horizon: int) -> dict:
+    """``PAIRS`` alternating timings of one identify call: every run, the medians and the wins."""
+    runs = [pair(parent, i % 2 == 0, identify_time, languages, horizon) for i in range(PAIRS)]
+    return {
+        "parent_median": statistics.median(r["parent"] for r in runs),
+        "change_median": statistics.median(r["change"] for r in runs),
+        "change_better_pairs": sum(r["change"] < r["parent"] for r in runs),
+        "runs": runs,
+    }
+
+
 def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
     declared = json.loads((CHANGE / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in declared["end_to_end"]}
@@ -179,16 +198,16 @@ def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
         for i, seed in enumerate(SEEDS):
             args = ("--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS),
                     "--trace", "0")
-            both = pair(parent, i % 2 == 0, *args)
+            both = pair(parent, i % 2 == 0, bench, *args)
             failed += sum(r["failed"] for r in both.values())
             runs[workload].append({"seed": seed, **{s: values(r) for s, r in both.items()}})
             print(f"{workload} pair {i + 1}/{PAIRS} done", file=sys.stderr)
     every = {
-        seed: pair(parent, i % 2 == 0, "--workload", "all", "--seed", str(seed),
+        seed: pair(parent, i % 2 == 0, bench, "--workload", "all", "--seed", str(seed),
                    "--seconds", str(SECONDS), "--trace", "0")
         for i, seed in enumerate(ALL_SEEDS)
     }
-    traced = pair(parent, True, "--workload", claimed, "--seed", str(TRACED_SEED),
+    traced = pair(parent, True, bench, "--workload", claimed, "--seed", str(TRACED_SEED),
                   "--seconds", "8", "--trace", "1")
     record = {
         "what": what,
@@ -209,10 +228,11 @@ def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
                        "LANGUAGES, [canonical, padded(0.25), shuffled-window(4)], SEEDS, 3000) "
                        "in a fresh process: 'three' is LANGUAGES = [evens, odds, {1,5,9}], "
                        "'sizes' the finite languages {0}, {0,1}, ..., {0,...,11}. "
-                       "'identify_evens_s' is the least of "
-                       f"{IDENTIFY_REPEATS} timed identify_class(memorizer, [evens], "
-                       "[canonical, padded(0.25)], [0, 1], H) calls in a fresh process, "
-                       "parent first. 'identify_finite_s' is the same for identify_class("
+                       f"'identify_evens_s' is {PAIRS} alternating pairs (parent first in even "
+                       f"pairs), each side the least of {IDENTIFY_REPEATS} timed "
+                       "identify_class(memorizer, [evens], [canonical, padded(0.25)], [0, 1], "
+                       "H) calls in a fresh process; 'change_better_pairs' counts the pairs "
+                       "the change ran faster. 'identify_finite_s' is the same for identify_class("
                        "memorizer, the 16 languages over ranks {3,8,17,29}, [canonical, "
                        "padded(0.25), shuffled-window(4)], [0, 1, 2], H), like a grid job"
                        if claimed == "grid" else ""),
@@ -238,11 +258,7 @@ def main(claimed: str, parent: Path, out_name: str, what: str) -> None:
         }
         for languages, horizons in IDENTIFY_HORIZONS.items():
             record[f"identify_{languages}_s"] = {
-                f"H={horizon}": {
-                    side: float(call(path, IDENTIFY_CALL, languages, horizon, IDENTIFY_REPEATS))
-                    for side, path in (("parent", parent), ("change", CHANGE))
-                }
-                for horizon in horizons
+                f"H={horizon}": timed_pairs(parent, languages, horizon) for horizon in horizons
             }
     out = CHANGE / out_name
     out.write_text(json.dumps(record, indent=1) + "\n")
