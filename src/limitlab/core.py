@@ -3,11 +3,13 @@
 A universe fixes a bijective enumeration of every artefact that can ever
 occur. Experiences are finite datum sequences, fates are total generators of
 infinite datum sequences. A text strategy is a language-free schedule of
-ordinals, -1 a pause, with configurable pause, order, and repetition texture.
+ordinals, -1 a pause, with configurable pause, order, and repetition texture,
+and a deadline by which its first ordinals have all appeared.
 A language's text is that schedule relabelled: reduced by the language's size
 (``_reduction``), and read as data by one reader (``_reader``), its element r
 standing for ordinal r.
-``make_fate`` streams it; ``Schedule`` draws a schedule once and keys it.
+``make_fate`` streams it; ``Schedule`` draws a schedule's first positions once
+and keys them.
 """
 
 from __future__ import annotations
@@ -302,8 +304,11 @@ class _Strategy:
 
     A strategy's ``schedule(seed)`` is an infinite stream of ordinals, -1 a
     pause, that depends on the seed alone, and in which every ordinal k
-    appears by a computable deadline. A language's text is that schedule
-    relabelled (``make_fate``), so it lists the language exhaustively.
+    appears by a computable deadline: ``deadline(k)`` is a prefix length of
+    the schedule that holds every ordinal from 0 through k, whatever the
+    seed. A language's text is that schedule relabelled (``make_fate``), so
+    it lists the language exhaustively, and a finite language of s members
+    has listed them all by ``deadline(s - 1)``.
 
     A strategy has at most one parameter, its only dataclass field. It prints
     as ``name`` or ``name(param)`` and parses from ``name`` or ``name:param``.
@@ -336,6 +341,9 @@ class Canonical(_Strategy):
     def schedule(self, seed: int) -> Iterator[int]:
         return count()
 
+    def deadline(self, k: int) -> int:
+        return k + 1
+
 
 @dataclass(frozen=True)
 class Padded(_Strategy):
@@ -347,14 +355,21 @@ class Padded(_Strategy):
     def __post_init__(self) -> None:
         _check_rate(self.pause_density, "pause density")
 
+    def _pauses_per_block(self) -> int:
+        return int(self.pause_density * _PAD_BLOCK)
+
     def schedule(self, seed: int) -> Iterator[int]:
-        pauses_per_block = int(self.pause_density * _PAD_BLOCK)
+        pauses_per_block = self._pauses_per_block()
         ordinals = count()
         for block in count():
             rng = derived_rng("padded", seed, block)
             pause_slots = set(rng.sample(range(_PAD_BLOCK), pauses_per_block))
             for slot in range(_PAD_BLOCK):
                 yield -1 if slot in pause_slots else next(ordinals)
+
+    def deadline(self, k: int) -> int:
+        """The end of the block holding ordinal k: each block lists the next ordinals in order."""
+        return _PAD_BLOCK * (k // (_PAD_BLOCK - self._pauses_per_block()) + 1)
 
 
 @dataclass(frozen=True)
@@ -378,6 +393,10 @@ class ShuffledWindow(_Strategy):
             derived_rng("window", seed, block).shuffle(chunk)
             yield from chunk
 
+    def deadline(self, k: int) -> int:
+        """The end of the window holding ordinal k."""
+        return self.window * (k // self.window + 1)
+
 
 @dataclass(frozen=True)
 class RepetitionHeavy(_Strategy):
@@ -395,6 +414,10 @@ class RepetitionHeavy(_Strategy):
             reps = 1 + (rng.random() < self.repeat_rate) + (rng.random() < self.repeat_rate)
             yield from repeat(k, reps)
 
+    def deadline(self, k: int) -> int:
+        """Past the at most three positions of each ordinal before k."""
+        return 3 * k + 1
+
 
 TextStrategy = Canonical | Padded | ShuffledWindow | RepetitionHeavy
 
@@ -403,11 +426,16 @@ STRATEGIES: dict[str, type[TextStrategy]] = {
 }
 
 
-def _ordinals(strategy: TextStrategy, seed: int) -> Callable[[], Iterator[int]]:
-    """Fresh reads of ``strategy``'s schedule at ``seed``."""
+def _checked(strategy: TextStrategy) -> TextStrategy:
+    """``strategy`` itself, or TypeError if it is not a text strategy (a name, say)."""
     if not isinstance(strategy, TextStrategy):
         raise TypeError(f"unknown text strategy: {strategy!r}")
-    return partial(strategy.schedule, seed)
+    return strategy
+
+
+def _ordinals(strategy: TextStrategy, seed: int) -> Callable[[], Iterator[int]]:
+    """Fresh reads of ``strategy``'s schedule at ``seed``."""
+    return partial(_checked(strategy).schedule, seed)
 
 
 def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fate:
@@ -423,13 +451,14 @@ def make_fate(lang: "LanguageRepr", strategy: TextStrategy, seed: int = 0) -> Fa
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """A strategy's schedule at one seed, its first positions drawn once.
+    """A strategy's schedule at one seed, its first ``n`` positions drawn once.
 
     ``drawn`` holds the ordinal at each drawn position, or -1 for a pause, as
     native 8-byte words. ``key(size)`` reduces it by the relabel rule for a
     language of that size, and ``reader(lang)`` reads ``lang``'s text off such
     a key with ``make_fate``'s reader: the same text as ``make_fate``'s,
-    without drawing the strategy's randomness again.
+    without drawing the strategy's randomness again. A caller draws only the
+    positions that can matter to it, up to a deadline (``identify_class``).
     """
 
     drawn: bytes

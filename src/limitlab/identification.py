@@ -16,7 +16,9 @@ from enum import Enum
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .core import PAUSE, Datum, Experience, Fate, Schedule, TextStrategy, _key_code, is_pause
+from .core import (
+    PAUSE, Datum, Experience, Fate, Schedule, TextStrategy, _checked, _key_code, is_pause,
+)
 # Unused here, but bench/tests checks that the span tracer restores identification.make_fate.
 from .core import make_fate  # noqa: F401
 from .families import Equality, LanguageFamily, LanguageRepr
@@ -114,23 +116,25 @@ def _asked(scientist: Scientist, data: tuple, steps: Iterable[int]) -> Iterator[
     return ((n, conjecture(Experience(data[:n]))) for n in steps)
 
 
-def _walk(scientist: Scientist, data: tuple) -> Iterator[int]:
+def _walk(scientist: Scientist, data: tuple, first: Sequence[int] | None = None) -> Iterator[int]:
     """The conjecture on each prefix ``data[:n]``, for n from 0 through ``len(data)``.
 
     The one prefix walk: every limit check reads its hypothesis sequence here.
     A content scientist conjectures from the content alone, so its index can
     move only where a datum occurs for the first time. It is asked on the
-    empty prefix and at each first occurrence (``_first_steps``), and its
-    index is repeated everywhere else. Any other scientist is asked on every
-    prefix.
+    empty prefix and at each first occurrence (``first``, found by
+    ``_first_steps`` unless the caller has them), and its index is repeated
+    everywhere else. Any other scientist is asked on every prefix.
     """
     if scientist.content is None:
         conjecture = scientist.conjecture
         for n in range(len(data) + 1):
             yield conjecture(Experience(data[:n]))
         return
+    if first is None:
+        first = _first_steps(data, PAUSE)
     n = index = 0
-    for step, asked in _asked(scientist, data, [0, *_first_steps(data, PAUSE)]):
+    for step, asked in _asked(scientist, data, [0, *first]):
         yield from repeat(index, step - n)
         n, index = step, asked
     yield from repeat(index, len(data) + 1 - n)
@@ -265,6 +269,25 @@ class ExperimentTable:
         return out.getvalue()
 
 
+def _drawn(scientist: Scientist, sizes, strategies: Sequence[TextStrategy], horizon: int) -> int:
+    """How many positions of each schedule ``identify_class`` draws: all where a datum can be novel.
+
+    ``sizes`` holds the class's distinct language sizes. A content scientist
+    moves only at a first occurrence. On a class of finite languages, every
+    ordinal below the largest size ``top`` has occurred by each strategy's
+    ``deadline(top - 1)``, so every member of every language has too, and the
+    index is fixed from there on. Any other scientist, or an infinite
+    language, is drawn up to the horizon.
+    """
+    if scientist.content is None or None in sizes:
+        return horizon
+    top = max(sizes)
+    if not top:
+        return 0
+    strategies = [_checked(strategy) for strategy in strategies]  # a name is not a strategy
+    return min(horizon, max(strategy.deadline(top - 1) for strategy in strategies))
+
+
 def identify_class(
     scientist: Scientist,
     languages: Iterable[LanguageRepr],
@@ -283,20 +306,25 @@ def identify_class(
     a language's size alone, so each schedule is reduced once per distinct
     size, languages are visited size by size, and each language's rows go to
     its input-order slot. Within one language, two schedules with the same key
-    give the same text up to the horizon; a scientist is a deterministic map
-    from experiences to indices, so the two cells have the same hypothesis
-    sequence and the same row. Each distinct text is walked once, keeping only
-    its settled index and last change step, never its trace, and each settled
-    index of a language is compared with it once. Walks go key by key: a key's
-    first occurrences (``_first_steps``, -1 a pause) are the text's for every
-    language of the size, so they are found once per key, and a content
-    scientist, like the memorizer, is asked only at the empty prefix and at
-    them, on a text read only up to the last. Any other scientist is asked on
-    every prefix. Nothing is kept between calls. A finite language of at most
-    128 members takes one byte per position of key, and an infinite one's keys
-    are the schedules themselves. Memory is the schedules, at 8 bytes per
-    position, plus one size's distinct keys. An empty class is vacuous, but a
-    class with no strategy or no seed has no text to run and raises ValueError.
+    give the same text over the drawn positions; a scientist is a
+    deterministic map from experiences to indices, so the two cells have the
+    same hypothesis sequence and the same row. Each distinct text is walked
+    once, keeping only its settled index and last change step, never its
+    trace, and each settled index of a language is compared with it once.
+    Walks go key by key: a key's first occurrences (``_first_steps``, -1 a
+    pause) are the text's for every language of the size, so they are found
+    once per key, and a content scientist, like the memorizer, is asked only
+    at the empty prefix and at them, on a text read only up to the last. Any
+    other scientist is asked on every prefix. Nothing is kept between calls.
+
+    Schedules are drawn only as far as a datum can be novel (``_drawn``), so
+    a content scientist's finite class is drawn to a deadline whatever the
+    horizon; rows still report the requested horizon. A finite language of
+    at most 128 members takes one byte per position of key, and an infinite
+    one's keys are the schedules themselves. Memory is the drawn schedules,
+    at 8 bytes per position, plus one size's distinct keys. An empty class is
+    vacuous, but a class with no strategy or no seed has no text to run and
+    raises ValueError.
     """
     _check_horizon(horizon)
     languages = list(languages)
@@ -304,14 +332,15 @@ def identify_class(
         raise ValueError("identify_class needs at least one strategy and one seed")
     if not languages:
         return ExperimentTable(rows=(), horizon=horizon)
-    texts = [
-        (str(strategy), seed, Schedule.draw(strategy, seed, horizon))
-        for strategy in strategies
-        for seed in seeds
-    ]
     by_size: dict = {}
     for slot, lang in enumerate(languages):
         by_size.setdefault(lang.size, []).append(slot)
+    n = _drawn(scientist, by_size, strategies, horizon)
+    texts = [
+        (str(strategy), seed, Schedule.draw(strategy, seed, n))
+        for strategy in strategies
+        for seed in seeds
+    ]
     family, every = scientist.family, scientist.content is None  # asked on every prefix
     rows: list = [None] * len(languages)
     for size, slots in by_size.items():
@@ -365,13 +394,15 @@ def transformation_trace(
     Each prefix's index is read once, from ``_walk``. The step's datum is the
     artefact appended to ``data[:n]``, so its flags follow from the adjacent
     indices ``indices[n]`` and ``indices[n + 1]`` and from whether it occurs
-    first there (``_first_steps``), exactly as the schemas would compute them
-    on ``Situation(scientist, data[:n])``.
+    first there (``_first_steps``, found once for the walk and the flags),
+    exactly as the schemas would compute them on ``Situation(scientist,
+    data[:n])``.
     """
     _check_horizon(horizon)
     data = fate.prefix(horizon + 1).items
-    indices = tuple(_walk(scientist, data))
-    first = set(_first_steps(data, PAUSE))
+    first_steps = _first_steps(data, PAUSE)
+    indices = tuple(_walk(scientist, data, first_steps))
+    first = set(first_steps)
     family = scientist.family
     steps = []
     for n in range(horizon + 1):

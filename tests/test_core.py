@@ -218,12 +218,13 @@ def test_fate_determinism(strategy):
     assert first == second
 
 
-FAIRNESS_DEADLINES = {
-    Canonical(): lambda k: k + 1,
-    Padded(0.25): lambda k: 8 * (k // 6 + 2),
-    ShuffledWindow(4): lambda k: 4 * (k // 4 + 1),
-    RepetitionHeavy(0.25): lambda k: 3 * (k + 1),
-}
+# Every pause density in eighths, windows 1-9 and a spread of repeat rates.
+FAIRNESS_STRATEGIES = [
+    Canonical(),
+    *(Padded(eighths / 8) for eighths in range(8)),
+    *(ShuffledWindow(window) for window in range(1, 10)),
+    *(RepetitionHeavy(rate) for rate in (0, 0.25, 0.5, 0.9)),
+]
 
 
 @settings(max_examples=50, deadline=None)
@@ -232,17 +233,27 @@ FAIRNESS_DEADLINES = {
 def test_fairness_deadlines(seed):
     # Element k of the canonical enumeration must appear by a computable
     # deadline: the dovetailing guarantee behind content(T) = L. The deadline
-    # is the schedule's own: ordinal k appears in it by then.
-    for strategy, deadline in FAIRNESS_DEADLINES.items():
-        fate = make_fate(EVENS, strategy, seed)
-        for k in range(20):
-            horizon = deadline(k)
-            assert k in islice(strategy.schedule(seed), horizon), (
-                f"{strategy}: ordinal {k} missing from the schedule at deadline {horizon}"
+    # is the strategy's own: every ordinal up to k appears in its schedule by
+    # then, so a finite language of k + 1 members has been listed whole.
+    for strategy in FAIRNESS_STRATEGIES:
+        deadlines = [strategy.deadline(k) for k in range(41)]
+        schedule = list(islice(strategy.schedule(seed), max(deadlines)))
+        text = make_fate(EVENS, strategy, seed).prefix(max(deadlines)).items
+        for k, horizon in enumerate(deadlines):
+            assert set(range(k + 1)) <= set(schedule[:horizon]), (
+                f"{strategy}: an ordinal up to {k} missing from the schedule at deadline {horizon}"
             )
-            assert EVENS.element(k) in fate.prefix(horizon).content(), (
+            assert EVENS.element(k) in text[:horizon], (
                 f"{strategy}: element {k} missing at deadline {horizon}"
             )
+
+
+@pytest.mark.parametrize("strategy", [Canonical(), ShuffledWindow(1)])
+def test_in_order_deadlines_are_tight(strategy):
+    # Without pauses, shuffles or repeats, ordinal k is first seen at position k exactly.
+    for seed in (0, 13, 2**64 - 1):
+        for k in range(41):
+            assert k not in islice(strategy.schedule(seed), strategy.deadline(k) - 1)
 
 
 def test_finite_language_cycles_forever():

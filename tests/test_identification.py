@@ -469,10 +469,12 @@ def test_identify_class_draws_each_text_once_per_call(monkeypatch):
             identify_class(memorizer(FAM), languages, strategies, [0, 1], horizon=16)
         return len(draws)
 
-    one = count([finite(1, 2)])
+    # The class's largest size sets how far a schedule is drawn, so both classes hold a
+    # language of four members.
+    one = count([finite(0, 1, 2, 3)])
     assert one > 0
     assert count(_first_four_subsets()) == one  # 16 languages
-    assert count([finite(1, 2)], calls=2) == 2 * one  # nothing is kept between calls
+    assert count([finite(0, 1, 2, 3)], calls=2) == 2 * one  # nothing is kept between calls
 
 
 def test_class_of_empty_language_uses_the_all_pause_fate():
@@ -675,6 +677,76 @@ def test_content_scientists_identify_grids_as_their_replay_references(spec):
     seeds = [0, 1, 2**64 - 1]
     table = identify_class(scientist, languages, GRID_STRATEGIES, seeds, 14)
     assert table == reference_identify_class(replay, languages, GRID_STRATEGIES, seeds, 14)
+
+
+FINITE_LANGUAGES = [lang for lang in WALK_LANGUAGES + GRID_LANGUAGES if lang.size is not None]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=st.sampled_from(CONTENT_SPECS),
+    languages=st.lists(st.sampled_from(FINITE_LANGUAGES), min_size=1, max_size=3),
+    strategies=st.lists(WALK_STRATEGIES, min_size=1, max_size=2),
+    seed=st.integers(0, 2**64 - 1),
+    horizon=st.integers(50, 400),
+)
+def test_finite_classes_drawn_to_the_deadline_match_the_replay_references(
+    spec, languages, strategies, seed, horizon
+):
+    # Far past the deadline of a small class, where only a prefix of each schedule is drawn;
+    # the 130-member language's deadline may lie past the horizon.
+    scientist = build_scientist(spec, FAM)
+    replay = Scientist("replay", scientist.family, reference_conjecture(spec, FAM))
+    table = identify_class(scientist, languages, strategies, [seed], horizon)
+    assert table == reference_identify_class(replay, languages, strategies, [seed], horizon)
+
+
+def _drawn_lengths(monkeypatch, scientist, languages, strategies, horizon):
+    """How many positions ``identify_class`` drew of each schedule, and its table."""
+    drawn = []
+    real = Schedule.draw.__func__
+
+    def recording(cls, strategy, seed, n):
+        drawn.append(n)
+        return real(cls, strategy, seed, n)
+
+    monkeypatch.setattr(Schedule, "draw", classmethod(recording))
+    table = identify_class(scientist, languages, strategies, [0, 1, 2], horizon)
+    return drawn, table
+
+
+def test_a_grid_class_is_drawn_only_to_its_deadline(monkeypatch):
+    # Four members under padding of density 1/2 and windows of 8: all listed by position 8.
+    strategies = [Canonical(), Padded(0.5), ShuffledWindow(8)]
+    drawn, table = _drawn_lengths(
+        monkeypatch, memorizer(FAM), _first_four_subsets(), strategies, 10**6
+    )
+    assert len(drawn) == 9 and max(drawn) <= 8
+    assert {row.horizon for row in table.rows} == {10**6}
+    assert {row.verdict for row in table.rows} == {"Identified"}
+
+
+def test_a_class_of_empty_languages_draws_nothing(monkeypatch):
+    drawn, table = _drawn_lengths(
+        monkeypatch, memorizer(FAM), [finite(), finite()], DIFF_STRATEGIES, 50
+    )
+    assert drawn == [0] * 12
+    assert [row.verdict for row in table.rows] == ["Identified"] * 24
+    assert {row.last_change_step for row in table.rows} == {None}
+
+
+@pytest.mark.parametrize(
+    "scientist, languages",
+    [
+        (memorizer(FAM), [finite(2), EVENS]),  # an infinite language lists forever
+        (last_novel(FAM), [finite(2), finite(1, 5)]),  # not a content scientist
+        (Scientist("replay", FAM, reference_conjecture("memorizer", FAM)), [finite(2)]),
+    ],
+    ids=["evens", "last_novel", "replay"],
+)
+def test_other_classes_are_drawn_to_the_horizon(monkeypatch, scientist, languages):
+    drawn, _ = _drawn_lengths(monkeypatch, scientist, languages, DIFF_STRATEGIES, 50)
+    assert drawn == [50] * 12
 
 
 def _distinct_texts(languages, strategies, seeds, horizon):

@@ -21,8 +21,9 @@ runs its own ``bench/run.py`` in a fresh process:
 - for a ``grid`` claim only, the time of ``identify_class`` on evens alone at
   horizons 1000, 2000 and 4000, where every datum is novel (no workload runs
   an infinite language through ``identify_class``), and on a class like a
-  ``grid`` job's, 16 finite languages over 4 ranks, at horizons 1000 and 4000
-  (the workload runs only 32 and 64); each horizon in alternating
+  ``grid`` job's, 16 finite languages over 4 ranks, at horizons 1000, 4000
+  and 100 000 (the workload runs only 32 and 64; the last shows whether the
+  call's cost still grows with the horizon); each horizon in alternating
   fresh-process pairs, the parent first in even pairs, as the workloads are.
 
 A metric is "unresolved" on a workload when either side's interquartile
@@ -79,7 +80,7 @@ print(tracemalloc.get_traced_memory()[1])
 # IDENTIFY_REPEATS calls in a fresh process: evens alone, where every datum is novel, and
 # a grid job's class, every subset of four ranks, whose texts repeat data; each at its
 # horizons.
-IDENTIFY_HORIZONS = {"evens": (1000, 2000, 4000), "finite": (1000, 4000)}
+IDENTIFY_HORIZONS = {"evens": (1000, 2000, 4000), "finite": (1000, 4000, 100_000)}
 IDENTIFY_REPEATS = 5
 IDENTIFY_CALL = """
 import sys, time
